@@ -450,6 +450,8 @@ def ldg_stability(ctx, b, t, ns, n_nodes, out, fmt, config_path):
         raise ConfigError(f"cannot parse block list {p['ns']!r}")
     if not 0.0 < p["b"] < 1.0 or p["t"] < 0:
         raise ConfigError("need b in (0,1) and t >= 0")
+    if min(n_list) < 0 or p["n_nodes"] < 16:
+        raise ConfigError("need block indices n >= 0 and n-nodes >= 16")
     params = ldg.LdGParams(p["t"])
     rows = [(float(n), _solver_guard(
         lambda n=n: ldg.min_eig_Ln(n, p["b"], params, n_nodes=p["n_nodes"])))

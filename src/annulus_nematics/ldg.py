@@ -188,45 +188,42 @@ def Ln_value(n: int, a: RadialProfile, b_fn: RadialProfile, c: RadialProfile,
 def min_eig_Ln(n: int, b: float, params: LdGParams, n_nodes: int = 401) -> float:
     """Smallest eigenvalue of the n-th stability block, r-weighted L2 mass.
 
-    The four component functions share one radial grid; the form becomes a
-    symmetric block matrix whose off-diagonal blocks carry the 8n/r^2
-    coupling, so each block reduces to one generalized eigenproblem.  Only
-    the sign is contractual: positive means no admissible perturbation of
-    this order lowers the energy.
+    The four components (a, b, c, d) share one radial grid of linear
+    elements.  The 8n/r^2 term couples only (a, d), with +couple, and
+    (b, c), with -couple; a and b carry the extra 4 t s^2 potential.
+    Flipping the sign of c makes the two pairs identical, so the 4m
+    spectrum is the 2m spectrum of the (a, d) pair doubled.  That pair is
+    assembled interleaved as (a_0, d_0, a_1, d_1, ...), a pentadiagonal
+    form whose lower band storage has three rows: the diagonal, the a_i-d_i
+    coupling on even columns, and the stiffness off-diagonal repeated for
+    both components.  Only the sign is contractual: positive means no
+    admissible perturbation of this order lowers the energy.
     """
+    if n < 0:
+        raise ValueError("block index must be nonnegative")
     s = solve_s(b, params, n_nodes=n_nodes)
     r = s.profile.nodes
     sv = s.profile.values
     t = params.t
-    m = len(r) - 2
     ri = r[1:-1]
     si = sv[1:-1]
     # piecewise-linear elements on the (generally non-uniform) r-grid
     hcell = np.diff(r)
     r_half = 0.5 * (r[:-1] + r[1:])
-
-    stiff = np.zeros((m, m))
-    idx = np.arange(m)
-    stiff[idx, idx] = r_half[:-1] / hcell[:-1] + r_half[1:] / hcell[1:]
-    stiff[idx[:-1], idx[:-1] + 1] = -r_half[1:-1] / hcell[1:-1]
-    stiff[idx[:-1] + 1, idx[:-1]] = -r_half[1:-1] / hcell[1:-1]
+    kd = r_half[:-1] / hcell[:-1] + r_half[1:] / hcell[1:]
+    ko = -r_half[1:-1] / hcell[1:-1]
 
     w = 0.5 * (hcell[:-1] + hcell[1:]) * ri
     pot_common = ((n * n + 4.0) / ri ** 2 + t * (2.0 * si ** 2 - 1.0)) * w
     pot_ab = pot_common + 4.0 * t * si ** 2 * w
     couple = 4.0 * n / ri ** 2 * w
 
-    dim = 4 * m
-    form = np.zeros((dim, dim))
-    for block, pot in ((0, pot_ab), (1, pot_ab), (2, pot_common), (3, pot_common)):
-        sl = slice(block * m, (block + 1) * m)
-        form[sl, sl] = stiff + np.diag(pot)
-    form[0 * m:1 * m, 3 * m:4 * m] = np.diag(couple)
-    form[3 * m:4 * m, 0 * m:1 * m] = np.diag(couple)
-    form[1 * m:2 * m, 2 * m:3 * m] = np.diag(-couple)
-    form[2 * m:3 * m, 1 * m:2 * m] = np.diag(-couple)
-    mass = np.tile(w, 4)
-    return min_eigenvalue(form, mass)
+    band = np.zeros((3, 2 * len(ri)))
+    band[0, 0::2] = kd + pot_ab
+    band[0, 1::2] = kd + pot_common
+    band[1, 0::2] = couple
+    band[2, :-2] = np.repeat(ko, 2)
+    return min_eigenvalue(band, np.repeat(w, 2))
 
 
 def stability_threshold(b: float) -> float:

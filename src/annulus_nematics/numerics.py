@@ -2,8 +2,8 @@
 
 Bracketed root finding, adaptive quadrature with inverse-square-root
 endpoint handling, a damped-Newton solver for scalar two-point boundary
-value problems, and smallest generalized eigenvalues of discretized
-symmetric quadratic forms.  Everything here is pure: no global state,
+value problems, and the smallest generalized eigenvalue of a discretized
+symmetric banded quadratic form.  Everything here is pure: no global state,
 safe to call concurrently on independent inputs.
 """
 from __future__ import annotations
@@ -283,27 +283,25 @@ def solve_bvp(ode_rhs: Callable,
                          f"(residual {rnorm:.3e})", history)
 
 
-def min_eigenvalue(form_matrix: np.ndarray,
-                   mass_matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of form_matrix @ v = lambda * mass_matrix @ v.
+def min_eigenvalue(band: np.ndarray, mass: np.ndarray) -> float:
+    """Smallest eigenvalue of A v = lambda * M v for a banded symmetric A.
 
-    ``form_matrix`` is symmetric (tridiagonal, banded or dense);
-    ``mass_matrix`` is a strictly positive diagonal, given either as a 1-D
-    array of diagonal entries or as a diagonal 2-D matrix.  The problem is
-    symmetrized with the diagonal square root and handed to LAPACK.
+    ``band`` holds A in LAPACK lower band storage, ``band[k, j] =
+    A[j + k, j]``: row 0 is the diagonal, row k the k-th subdiagonal, and
+    the last k entries of row k are ignored.  ``mass`` is the strictly
+    positive diagonal of M.  The pencil is symmetrized with M^(-1/2) in
+    band storage and only the lowest eigenvalue is computed.
     """
-    form = np.asarray(form_matrix, dtype=float)
-    mass = np.asarray(mass_matrix, dtype=float)
-    if mass.ndim == 2:
-        mass = np.diagonal(mass).copy()
+    band = np.array(band, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    n = mass.size
+    if mass.ndim != 1 or band.ndim != 2 or band.shape[1] != n or band.shape[0] > n:
+        raise ValueError("band and mass dimensions disagree")
     if np.any(mass <= 0):
-        raise ValueError("mass matrix must be strictly positive")
-    if form.ndim != 2 or form.shape[0] != form.shape[1]:
-        raise ValueError("form matrix must be square")
-    if form.shape[0] != mass.shape[0]:
-        raise ValueError("form and mass dimensions disagree")
+        raise ValueError("mass must be strictly positive")
     scale = 1.0 / np.sqrt(mass)
-    sym = form * scale[:, None] * scale[None, :]
-    sym = 0.5 * (sym + sym.T)
-    vals = scipy.linalg.eigvalsh(sym, subset_by_index=(0, 0))
+    for k in range(band.shape[0]):
+        band[k, :n - k] *= scale[k:] * scale[:n - k]
+    vals = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
+                                   select="i", select_range=(0, 0))
     return float(vals[0])

@@ -251,6 +251,9 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
         u_mid = 0.5 * (u_lo + u_hi)
         t_mid = half - _tail_integral(u_mid, delta, u_max)
         above = t_mid > t_half
+        # once no bracket moves, every later round repeats these midpoints
+        if np.array_equal(u_mid, np.where(above, u_hi, u_lo)):
+            break
         u_hi = np.where(above, u_mid, u_hi)
         u_lo = np.where(above, u_lo, u_mid)
     u_half = 0.5 * (u_lo + u_hi)

@@ -580,28 +580,20 @@ def stability_probe(base: DirectorField, delta: float, b: float, k: int,
     length = math.log(1.0 / b)
     x = np.linspace(-length, 0.0, n_nodes)
     h = x[1] - x[0]
-    robin = base.bc.kind == "robin"
-    if robin:
-        n_unknown = n_nodes
-        sl = slice(None)
-    else:
-        n_unknown = n_nodes - 2
-        sl = slice(1, -1)
     w = np.full(n_nodes, h)
     w[0] = w[-1] = 0.5 * h
-    idx = np.arange(n_nodes - 1)
-    stiff = np.zeros((n_nodes, n_nodes))
-    stiff[idx, idx] += 1.0 / h
-    stiff[idx + 1, idx + 1] += 1.0 / h
-    stiff[idx, idx + 1] -= 1.0 / h
-    stiff[idx + 1, idx] -= 1.0 / h
-    form = (1.0 - delta) * stiff + np.diag((k * k - delta) * w)
-    if robin:
-        alpha = base.bc.anchoring.alpha
-        form[-1, -1] += alpha - delta       # r = 1
-        form[0, 0] += alpha * b + delta     # r = b
+    stiff = np.full(n_nodes, 2.0 / h)
+    stiff[0] = stiff[-1] = 1.0 / h
+    band = np.zeros((2, n_nodes))
+    band[0] = (1.0 - delta) * stiff + (k * k - delta) * w
+    band[1, :-1] = -(1.0 - delta) / h
     mass = w * np.exp(2.0 * x)
-    return min_eigenvalue(form[sl, sl], mass[sl])
+    if base.bc.kind != "robin":
+        return min_eigenvalue(band[:, 1:-1], mass[1:-1])
+    alpha = base.bc.anchoring.alpha
+    band[0, -1] += alpha - delta        # r = 1
+    band[0, 0] += alpha * b + delta     # r = b
+    return min_eigenvalue(band, mass)
 
 
 def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,

@@ -175,6 +175,20 @@ class TestLdgCommands:
         assert cols == ["n", "min_eig"]
         assert np.all(data[:, 1] > 0)
 
+    def test_negative_block_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "ls.csv"
+        res = runner.invoke(main, ["ldg-stability", "--b", "0.5", "--t", "40",
+                                   "--n", "0,-2", "--n-nodes", "201",
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_too_few_nodes_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["ldg-stability", "--b", "0.5", "--t", "40",
+                                   "--n-nodes", "2",
+                                   "--out", str(tmp_path / "ls.csv")])
+        assert res.exit_code == 2, res.output
+
     def test_solver_failure_exit_code(self, runner, tmp_path):
         # the divided-difference noise floor defeats the residual tolerance
         # on an absurdly fine grid: reported as a solver failure

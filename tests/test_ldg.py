@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import simpson
 
 from annulus_nematics.ldg import (
@@ -21,6 +22,42 @@ from annulus_nematics.ldg import (
     u_profile_zero_t,
 )
 from annulus_nematics.of_strong import RadialProfile
+
+
+def dense_min_eig_Ln(n, b, params, n_nodes):
+    """Reference: the unreduced 4m x 4m block form with a dense eigensolve."""
+    s = solve_s(b, params, n_nodes=n_nodes)
+    r = s.profile.nodes
+    sv = s.profile.values
+    t = params.t
+    m = len(r) - 2
+    ri = r[1:-1]
+    si = sv[1:-1]
+    hcell = np.diff(r)
+    r_half = 0.5 * (r[:-1] + r[1:])
+
+    stiff = np.zeros((m, m))
+    idx = np.arange(m)
+    stiff[idx, idx] = r_half[:-1] / hcell[:-1] + r_half[1:] / hcell[1:]
+    stiff[idx[:-1], idx[:-1] + 1] = -r_half[1:-1] / hcell[1:-1]
+    stiff[idx[:-1] + 1, idx[:-1]] = -r_half[1:-1] / hcell[1:-1]
+
+    w = 0.5 * (hcell[:-1] + hcell[1:]) * ri
+    pot_common = ((n * n + 4.0) / ri ** 2 + t * (2.0 * si ** 2 - 1.0)) * w
+    pot_ab = pot_common + 4.0 * t * si ** 2 * w
+    couple = 4.0 * n / ri ** 2 * w
+
+    form = np.zeros((4 * m, 4 * m))
+    for block, pot in ((0, pot_ab), (1, pot_ab), (2, pot_common), (3, pot_common)):
+        sl = slice(block * m, (block + 1) * m)
+        form[sl, sl] = stiff + np.diag(pot)
+    form[0 * m:1 * m, 3 * m:4 * m] = np.diag(couple)
+    form[3 * m:4 * m, 0 * m:1 * m] = np.diag(couple)
+    form[1 * m:2 * m, 2 * m:3 * m] = np.diag(-couple)
+    form[2 * m:3 * m, 1 * m:2 * m] = np.diag(-couple)
+    scale = 1.0 / np.sqrt(np.tile(w, 4))
+    sym = form * scale[:, None] * scale[None, :]
+    return float(scipy.linalg.eigvalsh(sym, subset_by_index=(0, 0))[0])
 
 
 def analytic_s_state(b, n=20001, t=0.0):
@@ -175,6 +212,18 @@ class TestMinEig:
         eigs = [min_eig_Ln(n, b, params) for n in (0, 1, 2, 3)]
         assert eigs[2] >= eigs[0]
         assert eigs[3] >= eigs[1]
+
+    @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+    def test_reduced_band_matches_dense_block(self, b):
+        params = LdGParams(1.05 * stability_threshold(b))
+        for n in (0, 1, 2, 3):
+            lam = min_eig_Ln(n, b, params, n_nodes=201)
+            ref = dense_min_eig_Ln(n, b, params, n_nodes=201)
+            assert abs(lam - ref) <= 1e-9 * abs(ref), (n, lam, ref)
+
+    def test_rejects_negative_block_index(self):
+        with pytest.raises(ValueError):
+            min_eig_Ln(-2, 0.5, LdGParams(40.0), n_nodes=201)
 
 
 class TestThreshold:

@@ -127,14 +127,14 @@ class TestMinEigenvalue:
     def test_dirichlet_laplacian(self):
         n = 400
         h = math.pi / (n + 1)
-        main = np.full(n, 2.0 / h ** 2)
-        off = np.full(n - 1, -1.0 / h ** 2)
-        form = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-        lam = min_eigenvalue(form, np.ones(n))
+        band = np.empty((2, n))
+        band[0] = 2.0 / h ** 2
+        band[1] = -1.0 / h ** 2
+        lam = min_eigenvalue(band, np.ones(n))
         assert abs(lam - 1.0) < 1e-4
 
     def test_identity(self):
-        assert abs(min_eigenvalue(np.eye(5), np.ones(5)) - 1.0) < 1e-14
+        assert abs(min_eigenvalue(np.ones((1, 5)), np.ones(5)) - 1.0) < 1e-14
 
     def test_critical_mode_is_null(self):
         # log-radius operator -(1-d) f'' - d f with the critical anisotropy:
@@ -145,24 +145,29 @@ class TestMinEigenvalue:
         n = 800
         h = length / (n + 1)
         x = np.linspace(-length + h, -h, n)
-        main = (1.0 - delta1) * 2.0 / h ** 2 - delta1
-        off = -(1.0 - delta1) / h ** 2
-        form = np.diag(np.full(n, main)) + np.diag(np.full(n - 1, off), 1) \
-            + np.diag(np.full(n - 1, off), -1)
+        band = np.empty((2, n))
+        band[0] = (1.0 - delta1) * 2.0 / h ** 2 - delta1
+        band[1] = -(1.0 - delta1) / h ** 2
         mass = np.exp(2.0 * x)
-        lam = min_eigenvalue(form, mass)
+        lam = min_eigenvalue(band, mass)
         assert abs(lam) < 2e-3
 
     def test_positive_definite_form(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((30, 30))
         form = a @ a.T + 0.5 * np.eye(30)
-        lam = min_eigenvalue(form, np.full(30, 2.0))
+        # full lower band storage, band[k, j] = form[j + k, j]
+        band = np.array([np.pad(np.diagonal(form, -k), (0, k)) for k in range(30)])
+        lam = min_eigenvalue(band, np.full(30, 2.0))
         assert lam > 0.0
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            min_eigenvalue(np.eye(3), np.array([1.0, -1.0, 2.0]))
+            min_eigenvalue(np.ones((1, 3)), np.array([1.0, -1.0, 2.0]))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            min_eigenvalue(np.ones((2, 4)), np.ones(5))
 
 
 def test_gridfunction_validation():

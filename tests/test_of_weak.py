@@ -40,7 +40,8 @@ def robin_min_eig(delta, alpha, b, k, n=401):
     form[0, 0] += alpha - delta
     form[-1, -1] += alpha * b + delta
     mass = w * np.exp(-2.0 * y)
-    return min_eigenvalue(form, mass)
+    band = np.array([np.diagonal(form), np.append(np.diagonal(form, -1), 0.0)])
+    return min_eigenvalue(band, mass)
 
 
 def oracle_delta_crit(alpha, b, k, n=401):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from annulus_nematics.harmonic import state_coefficients, total_energy
 from annulus_nematics.of_strong import delta_n, pitchfork_amplitude
@@ -171,6 +172,33 @@ class TestBifurcation:
         assert abs(slope - 0.5) < 0.05
 
 
+def dense_stability_probe(delta, b, k, alpha=None, n_nodes=801):
+    """Reference: the log-radius probe form as a dense matrix, dense eigensolve.
+
+    ``alpha`` None means Dirichlet rows; otherwise Robin rows with that
+    anchoring strength.
+    """
+    x = np.linspace(-math.log(1.0 / b), 0.0, n_nodes)
+    h = x[1] - x[0]
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = 0.5 * h
+    idx = np.arange(n_nodes - 1)
+    stiff = np.zeros((n_nodes, n_nodes))
+    stiff[idx, idx] += 1.0 / h
+    stiff[idx + 1, idx + 1] += 1.0 / h
+    stiff[idx, idx + 1] -= 1.0 / h
+    stiff[idx + 1, idx] -= 1.0 / h
+    form = (1.0 - delta) * stiff + np.diag((k * k - delta) * w)
+    sl = slice(1, -1)
+    if alpha is not None:
+        form[-1, -1] += alpha - delta
+        form[0, 0] += alpha * b + delta
+        sl = slice(None)
+    scale = 1.0 / np.sqrt(w * np.exp(2.0 * x))[sl]
+    sym = form[sl, sl] * scale[:, None] * scale[None, :]
+    return float(scipy.linalg.eigvalsh(sym, subset_by_index=(0, 0))[0])
+
+
 class TestStabilityProbe:
     def test_null_mode_at_critical(self):
         for b in (0.2, 0.5):
@@ -209,6 +237,26 @@ class TestStabilityProbe:
             else:
                 assert stability_probe(base, max(dcrit - 0.005, 1e-3), b, k) > 0.0
                 assert stability_probe(base, min(dcrit + 0.005, 0.9999), b, k) < 0.0
+
+    def test_band_matches_dense_reference(self):
+        # at b=0.5, alpha=0.5 every order k=0..2 has a Robin crossing
+        b, alpha = 0.5, 0.5
+        grid = PolarGrid.annulus(b, 48, 32)
+        robin = BoundaryConditions(kind="robin", anchoring=AnchoringParams(alpha))
+        cases = [(defect_free_field(grid), None),
+                 (defect_free_field(grid, robin), alpha)]
+        for base, a in cases:
+            for k in (0, 1, 2):
+                if a is None:
+                    dcrit = delta_n(b, 1) if k == 0 else None
+                else:
+                    dcrit = delta_weak(a, b, k)
+                for d in (0.0, 0.3, 0.6, 0.9, 0.99):
+                    if dcrit is not None and abs(d - dcrit) < 0.05:
+                        continue
+                    lam = stability_probe(base, d, b, k)
+                    ref = dense_stability_probe(d, b, k, a)
+                    assert abs(lam - ref) <= 1e-9 * abs(ref), (a, k, d, lam, ref)
 
     def test_requires_defect_free_base(self):
         grid = PolarGrid.annulus(0.5, 48, 32)
