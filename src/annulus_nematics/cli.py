@@ -279,6 +279,8 @@ def defect_states(ctx, b, n_max, eps, k3, out, fmt, config_path):
     """
     cfg = _load_config(config_path)
     p = _resolve(ctx, cfg, b=b, n_max=n_max, eps=eps, k3=k3, out=out, fmt=fmt)
+    if not 0.0 < p["b"] < 1.0 or p["n_max"] < 1:
+        raise ConfigError("need b in (0,1) and n-max >= 1")
     if not 0.0 < p["eps"] < p["b"] / 4.0:
         raise ConfigError("need 0 < eps < b/4")
     rows = []

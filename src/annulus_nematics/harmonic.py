@@ -44,6 +44,8 @@ class SeriesTruncation:
     @classmethod
     def for_geometry(cls, N: int, b: float, tol: float = 1e-10) -> "SeriesTruncation":
         """Pick n_terms so exp(-(N/2)*n*|log b|)/n drops below tol."""
+        if not 0.0 < b < 1.0:
+            raise ValueError("radius ratio must lie in (0,1)")
         rate = 0.5 * N * abs(math.log(b))
         n = 1
         while math.exp(-rate * n) / n > tol:
@@ -212,61 +214,76 @@ def canonical_f_exact(i: int, N: int, b: float, r, phi):
     Mathematically identical to the converged series but accurate at any
     interior point, arbitrarily close to the boundary.
     """
+    if i not in (1, 2, 3, 4):
+        raise ValueError("canonical index must be 1..4")
     vals = _images(N, b, np.log(np.asarray(r, dtype=float)),
                    np.asarray(phi, dtype=float), grad=False)
     out = vals[i - 1]
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _image_kernels(m: float, a0, phi, q: float, j_cap: int, grad: bool):
+    """Odd and linear kernels of the images j = 0, 1, ... of every family.
+
+    Image j of a family sits at log-radius a0 + 2*j*log(b), so its kernel
+    argument is w_j = w_0 * q**j with q = b**N.  The j = 0 images go
+    through the cancellation-safe kernels, the others through plain
+    rational forms of the same kernels.
+    """
+    yield _kernel_odd(m, a0, phi, grad), _kernel_linear(m, a0, phi, grad)
+    w = np.exp(m * a0) * np.exp(1j * m * phi)
+    for _ in range(1, j_cap):
+        w = w * q
+        if grad:
+            g_odd = (4.0 * m / math.pi) * w / (1.0 - w * w)
+            g_lin = 2.0 * w / (1.0 + w)
+            yield (g_odd.imag, g_odd.real), (g_lin.imag, g_lin.real)
+        else:
+            yield ((2.0 / math.pi) * np.arctan2(2.0 * w.imag,
+                                                1.0 - (w.real ** 2 + w.imag ** 2)),
+                   (2.0 / m) * np.arctan2(w.imag, 1.0 + w.real))
+
+
 def _images(N: int, b: float, u, phi, grad: bool):
     """All four canonical functions (and gradients) by image summation.
 
-    Returns [f1, f2, f3, f4] or, with ``grad``, ([f*_u], [f*_phi]); image
-    contributions decay like b**(N*j), so the loop terminates quickly.
+    Returns [f1, f2, f3, f4] or, with ``grad``, ([f*_u], [f*_phi]).  The
+    four image families are affine in j with slope 2*log(b).  Only the
+    j = 0 images reach w ~ 1, near the corners, and they go through the
+    cancellation-safe kernels.  Every j >= 1 image follows from the one
+    before by a factor b**N, and |w_j| <= b**N < 1 on the sector keeps
+    1 - w**2 and 1 + w away from zero, so its plain rational kernels lose
+    nothing.  Contributions decay like b**(N*j); the sum stops once an
+    image adds less than 1e-15.
     """
+    if not 0.0 < b < 1.0:
+        raise ValueError("radius ratio must lie in (0,1)")
     m = 0.5 * N
     x = math.log(b)
     u, phi = np.broadcast_arrays(np.asarray(u, dtype=float),
                                  np.asarray(phi, dtype=float))
-    shape = u.shape
-    if grad:
-        acc_u = [np.zeros(shape) for _ in range(4)]
-        acc_p = [np.zeros(shape) for _ in range(4)]
-    else:
-        acc = [np.zeros(shape) for _ in range(4)]
+    # j = 0 arguments as [pair][direct, reflected]: pair 0 carries the
+    # outer-circle data (f1, f2), pair 1 the inner-circle data (f3, f4)
+    a0 = np.array([[u, 2.0 * x - u], [x - u, u + x]])
+    # d/du of a reflected argument carries a sign flip
+    sign_u = np.array([1.0, -1.0]).reshape((2,) + (1,) * u.ndim)
     j_cap = max(16, int(80.0 / max(N * abs(x), 1e-3)) + 4)
-    for j in range(j_cap):
-        args = (u + 2.0 * j * x,            # direct, type 1/2
-                2.0 * (j + 1) * x - u,      # reflected, type 1/2
-                (2.0 * j + 1) * x - u,      # direct, type 3/4
-                u + (2.0 * j + 1) * x)      # reflected, type 3/4
-        if not grad:
-            k1 = [_kernel_odd(m, a, phi, False) for a in args]
-            k2 = [_kernel_linear(m, a, phi, False) for a in args]
-            inc = 0.0
-            for out, pos, neg in ((acc[0], k1[0], k1[1]), (acc[1], k2[0], k2[1]),
-                                  (acc[2], k1[2], k1[3]), (acc[3], k2[2], k2[3])):
-                term = pos - neg
-                out += term
-                inc = max(inc, float(np.max(np.abs(term))))
+    acc = 0.0
+    for j, kernels in enumerate(_image_kernels(m, a0, phi, b ** N, j_cap, grad)):
+        # rows [odd, linear] (with grad: [u odd, u linear, phi odd, phi
+        # linear]), columns [pair]
+        if grad:
+            terms = np.array([sign_u * (k[0][:, 0] + k[0][:, 1]) for k in kernels]
+                             + [k[1][:, 0] - k[1][:, 1] for k in kernels])
         else:
-            k1 = [_kernel_odd(m, a, phi, True) for a in args]
-            k2 = [_kernel_linear(m, a, phi, True) for a in args]
-            inc = 0.0
-            # d/du of a reflected argument carries a sign flip
-            for idx, (pos, neg) in enumerate(((k1[0], k1[1]), (k2[0], k2[1]),
-                                              (k1[2], k1[3]), (k2[2], k2[3]))):
-                du = pos[0] + neg[0] if idx < 2 else -(pos[0] + neg[0])
-                dp = pos[1] - neg[1]
-                acc_u[idx] += du
-                acc_p[idx] += dp
-                inc = max(inc, float(np.max(np.abs(du))),
-                          float(np.max(np.abs(dp))))
-        if j >= 1 and inc < 1e-15:
+            terms = np.array([k[:, 0] - k[:, 1] for k in kernels])
+        acc = acc + terms
+        if j >= 1 and np.max(np.abs(terms)) < 1e-15:
             break
+    order = ((0, 0), (1, 0), (0, 1), (1, 1))   # [kernel, pair] of f1..f4
     if grad:
-        return acc_u, acc_p
-    return acc
+        return [acc[k, p] for k, p in order], [acc[2 + k, p] for k, p in order]
+    return [acc[k, p] for k, p in order]
 
 
 def director(spec: DefectStateSpec, b: float, r, phi):
@@ -302,6 +319,8 @@ def series_s(i: int, N: int, b: float) -> float:
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("series index must be 1..4")
+    if not 0.0 < b < 1.0:
+        raise ValueError("radius ratio must lie in (0,1)")
     logb = math.log(b)
     total = 0.0
     for n in range(1, 400_000):
@@ -368,53 +387,47 @@ def _gauss_panel(lo, hi, order):
     return mid + half * x, half * w
 
 
-def _corner_patch(corner, e1, e2, rho_min, size, n_psi, n_s, grad_fn):
-    """Integral over the quarter square at a corner minus the core disk.
+def _corner_patch(corner, e1, e2, rho_min, size, n_psi, n_s):
+    """Nodes (u, phi, weight) over the quarter square at a corner minus the
+    core disk.
 
     Polar coordinates about the corner with a logarithmic radial variable;
-    the octants are integrated separately because the square's outer
-    boundary has a slope break on the diagonal.
+    the two octants are separate Gauss panels in the angle because the
+    square's outer boundary has a slope break on the diagonal.
     """
-    total = 0.0
-    for psi_lo, psi_hi in ((0.0, 0.25 * math.pi), (0.25 * math.pi, 0.5 * math.pi)):
-        psi, wpsi = _gauss_panel(psi_lo, psi_hi, n_psi)
-        r_outer = size / np.maximum(np.cos(psi), np.sin(psi))
-        smax = np.log(r_outer / rho_min)
-        s_ref, ws_ref = np.polynomial.legendre.leggauss(n_s)
-        s = 0.5 * (s_ref[None, :] + 1.0) * smax[:, None]
-        ws = 0.5 * ws_ref[None, :] * smax[:, None]
-        rho = rho_min * np.exp(s)
-        u_pts = corner[0] + rho * (np.cos(psi)[:, None] * e1[0]
-                                   + np.sin(psi)[:, None] * e2[0])
-        p_pts = corner[1] + rho * (np.cos(psi)[:, None] * e1[1]
-                                   + np.sin(psi)[:, None] * e2[1])
-        gu, gp = grad_fn(u_pts.ravel(), p_pts.ravel())
-        dens = 0.5 * (gu ** 2 + gp ** 2).reshape(rho.shape)
-        inner = np.sum(dens * rho * rho * ws, axis=1)
-        total += float(np.sum(inner * wpsi))
-    return total
+    psi, wpsi = _gauss_panel(np.array([[0.0], [0.25 * math.pi]]),
+                             np.array([[0.25 * math.pi], [0.5 * math.pi]]), n_psi)
+    psi, wpsi = psi.ravel(), wpsi.ravel()
+    r_outer = size / np.maximum(np.cos(psi), np.sin(psi))
+    smax = np.log(r_outer / rho_min)
+    s_ref, ws_ref = np.polynomial.legendre.leggauss(n_s)
+    s = 0.5 * (s_ref[None, :] + 1.0) * smax[:, None]
+    ws = 0.5 * ws_ref[None, :] * smax[:, None]
+    rho = rho_min * np.exp(s)
+    u_pts = corner[0] + rho * (np.cos(psi)[:, None] * e1[0]
+                               + np.sin(psi)[:, None] * e2[0])
+    p_pts = corner[1] + rho * (np.cos(psi)[:, None] * e1[1]
+                               + np.sin(psi)[:, None] * e2[1])
+    return u_pts.ravel(), p_pts.ravel(), (rho * rho * ws * wpsi[:, None]).ravel()
 
 
-def _rect_integral(u_lo, u_hi, p_lo, p_hi, panel, order, grad_fn):
-    """Tensor Gauss quadrature of the energy density over a rectangle."""
-    if u_hi <= u_lo or p_hi <= p_lo:
-        return 0.0
+def _rect_nodes(u_lo, u_hi, p_lo, p_hi, panel, order):
+    """Nodes (u, phi, weight) of tensor Gauss panels over a rectangle."""
     nu = max(1, int(math.ceil((u_hi - u_lo) / panel)))
     np_ = max(1, int(math.ceil((p_hi - p_lo) / panel)))
-    total = 0.0
-    for iu in range(nu):
-        ua, ub = (u_lo + (u_hi - u_lo) * iu / nu,
-                  u_lo + (u_hi - u_lo) * (iu + 1) / nu)
-        xu, wu = _gauss_panel(ua, ub, order)
-        for ip in range(np_):
-            pa, pb = (p_lo + (p_hi - p_lo) * ip / np_,
-                      p_lo + (p_hi - p_lo) * (ip + 1) / np_)
-            xp, wp = _gauss_panel(pa, pb, order)
-            uu, pp = np.meshgrid(xu, xp, indexing="ij")
-            gu, gp = grad_fn(uu.ravel(), pp.ravel())
-            dens = 0.5 * (gu ** 2 + gp ** 2).reshape(uu.shape)
-            total += float(np.einsum("i,j,ij->", wu, wp, dens))
-    return total
+    iu = np.arange(nu)[:, None]
+    ip = np.arange(np_)[:, None]
+    xu, wu = _gauss_panel(u_lo + (u_hi - u_lo) * iu / nu,
+                          u_lo + (u_hi - u_lo) * (iu + 1) / nu, order)
+    xp, wp = _gauss_panel(p_lo + (p_hi - p_lo) * ip / np_,
+                          p_lo + (p_hi - p_lo) * (ip + 1) / np_, order)
+    uu, pp = np.meshgrid(xu.ravel(), xp.ravel(), indexing="ij")
+    return uu.ravel(), pp.ravel(), np.outer(wu, wp).ravel()
+
+
+# points per director_gradient call: one call per level would hold every
+# image array of ~10^5 points at once, fixed blocks keep the memory flat
+_ORACLE_BLOCK = 4096
 
 
 def _oracle_level(spec, b, eps, n_psi, n_s, order, panel_div):
@@ -425,26 +438,25 @@ def _oracle_level(spec, b, eps, n_psi, n_s, order, panel_div):
     rho_in = eps / b
     if max(rho_out, rho_in) >= 0.5 * size:
         raise ValueError("core radius too large for the sector geometry")
-
-    def grad_fn(u, phi):
-        return director_gradient(spec, b, np.exp(np.asarray(u)), phi)
-
     corners = (
         ((-big_t, 0.0), (1.0, 0.0), (0.0, 1.0), rho_in),
         ((0.0, 0.0), (-1.0, 0.0), (0.0, 1.0), rho_out),
         ((0.0, big_phi), (-1.0, 0.0), (0.0, -1.0), rho_out),
         ((-big_t, big_phi), (1.0, 0.0), (0.0, -1.0), rho_in),
     )
-    total = 0.0
-    for corner, e1, e2, rho in corners:
-        total += _corner_patch(corner, e1, e2, rho, size, n_psi, n_s, grad_fn)
     panel = size / panel_div
-    total += _rect_integral(-big_t + size, -size, 0.0, big_phi,
-                            panel, order, grad_fn)
-    total += _rect_integral(-size, 0.0, size, big_phi - size,
-                            panel, order, grad_fn)
-    total += _rect_integral(-big_t, -big_t + size, size, big_phi - size,
-                            panel, order, grad_fn)
+    nodes = [_corner_patch(corner, e1, e2, rho, size, n_psi, n_s)
+             for corner, e1, e2, rho in corners]
+    nodes += [_rect_nodes(-big_t + size, -size, 0.0, big_phi, panel, order),
+              _rect_nodes(-size, 0.0, size, big_phi - size, panel, order),
+              _rect_nodes(-big_t, -big_t + size, size, big_phi - size,
+                          panel, order)]
+    u, phi, weight = (np.concatenate(c) for c in zip(*nodes))
+    total = 0.0
+    for lo in range(0, u.size, _ORACLE_BLOCK):
+        blk = slice(lo, lo + _ORACLE_BLOCK)
+        gu, gp = director_gradient(spec, b, np.exp(u[blk]), phi[blk])
+        total += 0.5 * float(np.dot(gu * gu + gp * gp, weight[blk]))
     return total
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .numerics import Bracket, find_root, integrate_singular
+from .numerics import Bracket, find_root
 
 _GL64 = np.polynomial.legendre.leggauss(64)
 
@@ -94,15 +94,13 @@ class RadialProfile:
 class SpiralState:
     """Spiral deformation theta = phi + pi/2 + U with maximum offset u_max.
 
-    Only the U >= 0 branch is stored; ``mirrored`` marks the sign-flipped
-    twin produced by the pitchfork symmetry.
+    Only the U >= 0 branch is stored.
     """
 
     geometry: AnnulusGeometry
     delta: float
     u_max: float
     profile: RadialProfile
-    mirrored: bool = False
 
 
 def defect_free_energy(geometry: AnnulusGeometry, elastic: ElasticParams) -> float:
@@ -158,24 +156,6 @@ def pitchfork_amplitude(delta: float, b: float) -> float:
     if delta <= d1:
         raise SubcriticalInput(f"delta={delta} is at or below delta_1={d1}")
     return math.sqrt(2.0 * (delta - d1) / d1)
-
-
-def _offset_integrand(u, delta: float, u_max: float):
-    """Integrand of the turning-point integral defining the spiral offset.
-
-    cos^2 u - cos^2 u_max is evaluated as sin(u_max+u)*sin(u_max-u) to stay
-    accurate near the turning point.
-    """
-    u = np.asarray(u, dtype=float)
-    num = 1.0 - delta * np.cos(u) ** 2
-    den = delta * np.sin(u_max + u) * np.sin(u_max - u)
-    return np.sqrt(num / den)
-
-
-def _half_period(delta: float, u_max: float, tol: float = 1e-11) -> float:
-    """Integral of the offset integrand from 0 to the turning point."""
-    return integrate_singular(lambda u: _offset_integrand(u, delta, u_max),
-                              0.0, u_max, singularity="upper", tol=tol)
 
 
 def _tail_integral(u_lo: np.ndarray, delta: float, u_max: float) -> np.ndarray:

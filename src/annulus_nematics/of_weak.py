@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .numerics import Bracket, find_root, integrate_singular
-from .of_strong import delta_n
 
 
 class PoleProximity(ArithmeticError):
@@ -245,8 +244,3 @@ def weak_pitchfork_coeffs(alpha: float, b: float) -> tuple[float, float]:
     e1 = b_a - i_a
     e3 = -(d1 * i_b + b_b)
     return e1, e3
-
-
-def strong_limit_delta(b: float) -> float:
-    """Critical anisotropy recovered as the anchoring strength diverges."""
-    return delta_n(b, 1)

@@ -105,6 +105,14 @@ class TestDefectStates:
                                    "0.2", "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["--b", "1.5", "--eps", "0.01"],
+                                      ["--b", "0.5", "--n-max", "0"]])
+    def test_out_of_domain_is_config_error(self, runner, tmp_path, args):
+        out = tmp_path / "ds.csv"
+        res = runner.invoke(main, ["defect-states", *args, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
 
 class TestPdeSolve:
     def test_field_roundtrip_bit_identical(self, runner, tmp_path):

@@ -11,6 +11,11 @@ from annulus_nematics.harmonic import (
     canonical_f,
     canonical_f_exact,
     crossover_N,
+    _gauss_panel,
+    _images,
+    _kernel_linear,
+    _kernel_odd,
+    _oracle_level,
     director,
     director_gradient,
     energy_quadrature_oracle,
@@ -26,6 +31,124 @@ def stencil_laplacian(fn, u0, p0, h=5e-4):
     c = fn(math.exp(u0), p0)
     return (fn(math.exp(u0 + h), p0) + fn(math.exp(u0 - h), p0)
             + fn(math.exp(u0), p0 + h) + fn(math.exp(u0), p0 - h) - 4.0 * c) / h ** 2
+
+
+def reference_images(N, b, u, phi, grad):
+    """Image sum evaluating every image on the cancellation-safe kernels."""
+    m = 0.5 * N
+    x = math.log(b)
+    u, phi = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                 np.asarray(phi, dtype=float))
+    shape = u.shape
+    if grad:
+        acc_u = [np.zeros(shape) for _ in range(4)]
+        acc_p = [np.zeros(shape) for _ in range(4)]
+    else:
+        acc = [np.zeros(shape) for _ in range(4)]
+    j_cap = max(16, int(80.0 / max(N * abs(x), 1e-3)) + 4)
+    for j in range(j_cap):
+        args = (u + 2.0 * j * x,            # direct, type 1/2
+                2.0 * (j + 1) * x - u,      # reflected, type 1/2
+                (2.0 * j + 1) * x - u,      # direct, type 3/4
+                u + (2.0 * j + 1) * x)      # reflected, type 3/4
+        if not grad:
+            k1 = [_kernel_odd(m, a, phi, False) for a in args]
+            k2 = [_kernel_linear(m, a, phi, False) for a in args]
+            inc = 0.0
+            for out, pos, neg in ((acc[0], k1[0], k1[1]), (acc[1], k2[0], k2[1]),
+                                  (acc[2], k1[2], k1[3]), (acc[3], k2[2], k2[3])):
+                term = pos - neg
+                out += term
+                inc = max(inc, float(np.max(np.abs(term))))
+        else:
+            k1 = [_kernel_odd(m, a, phi, True) for a in args]
+            k2 = [_kernel_linear(m, a, phi, True) for a in args]
+            inc = 0.0
+            # d/du of a reflected argument carries a sign flip
+            for idx, (pos, neg) in enumerate(((k1[0], k1[1]), (k2[0], k2[1]),
+                                              (k1[2], k1[3]), (k2[2], k2[3]))):
+                du = pos[0] + neg[0] if idx < 2 else -(pos[0] + neg[0])
+                dp = pos[1] - neg[1]
+                acc_u[idx] += du
+                acc_p[idx] += dp
+                inc = max(inc, float(np.max(np.abs(du))),
+                          float(np.max(np.abs(dp))))
+        if j >= 1 and inc < 1e-15:
+            break
+    if grad:
+        return acc_u, acc_p
+    return acc
+
+
+def reference_oracle_level(spec, b, eps, n_psi, n_s, order, panel_div):
+    """Oracle level integrating each corner octant and Gauss panel with its
+    own director_gradient call."""
+    big_t = -math.log(b)
+    big_phi = 2.0 * math.pi / spec.N
+    size = min(big_t, big_phi) / 3.0
+
+    def energy(u, phi):
+        gu, gp = director_gradient(spec, b, np.exp(u), phi)
+        return 0.5 * (gu ** 2 + gp ** 2)
+
+    def corner_patch(corner, e1, e2, rho_min):
+        total = 0.0
+        for psi_lo, psi_hi in ((0.0, 0.25 * math.pi),
+                               (0.25 * math.pi, 0.5 * math.pi)):
+            psi, wpsi = _gauss_panel(psi_lo, psi_hi, n_psi)
+            r_outer = size / np.maximum(np.cos(psi), np.sin(psi))
+            smax = np.log(r_outer / rho_min)
+            s_ref, ws_ref = np.polynomial.legendre.leggauss(n_s)
+            s = 0.5 * (s_ref[None, :] + 1.0) * smax[:, None]
+            ws = 0.5 * ws_ref[None, :] * smax[:, None]
+            rho = rho_min * np.exp(s)
+            u_pts = corner[0] + rho * (np.cos(psi)[:, None] * e1[0]
+                                       + np.sin(psi)[:, None] * e2[0])
+            p_pts = corner[1] + rho * (np.cos(psi)[:, None] * e1[1]
+                                       + np.sin(psi)[:, None] * e2[1])
+            dens = energy(u_pts.ravel(), p_pts.ravel()).reshape(rho.shape)
+            inner = np.sum(dens * rho * rho * ws, axis=1)
+            total += float(np.sum(inner * wpsi))
+        return total
+
+    def rect_integral(u_lo, u_hi, p_lo, p_hi, panel):
+        nu = max(1, int(math.ceil((u_hi - u_lo) / panel)))
+        np_ = max(1, int(math.ceil((p_hi - p_lo) / panel)))
+        total = 0.0
+        for iu in range(nu):
+            xu, wu = _gauss_panel(u_lo + (u_hi - u_lo) * iu / nu,
+                                  u_lo + (u_hi - u_lo) * (iu + 1) / nu, order)
+            for ip in range(np_):
+                xp, wp = _gauss_panel(p_lo + (p_hi - p_lo) * ip / np_,
+                                      p_lo + (p_hi - p_lo) * (ip + 1) / np_, order)
+                uu, pp = np.meshgrid(xu, xp, indexing="ij")
+                dens = energy(uu.ravel(), pp.ravel()).reshape(uu.shape)
+                total += float(np.einsum("i,j,ij->", wu, wp, dens))
+        return total
+
+    rho_out, rho_in = eps, eps / b
+    total = (corner_patch((-big_t, 0.0), (1.0, 0.0), (0.0, 1.0), rho_in)
+             + corner_patch((0.0, 0.0), (-1.0, 0.0), (0.0, 1.0), rho_out)
+             + corner_patch((0.0, big_phi), (-1.0, 0.0), (0.0, -1.0), rho_out)
+             + corner_patch((-big_t, big_phi), (1.0, 0.0), (0.0, -1.0), rho_in))
+    panel = size / panel_div
+    total += rect_integral(-big_t + size, -size, 0.0, big_phi, panel)
+    total += rect_integral(-size, 0.0, size, big_phi - size, panel)
+    total += rect_integral(-big_t, -big_t + size, size, big_phi - size, panel)
+    return total
+
+
+def sector_probe_points(N, b, rng, d=1e-6):
+    """Random interior points plus points within d of every edge and corner,
+    as (log r, phi)."""
+    big_t, big_phi = -math.log(b), 2.0 * math.pi / N
+    ru, rp = -big_t * rng.random(40), big_phi * rng.random(40)
+    side = np.full(10, d)
+    u = np.concatenate([ru, -side, -big_t + side, -big_t * rng.random(20),
+                        [-d, -d, -big_t + d, -big_t + d]])
+    p = np.concatenate([rp, big_phi * rng.random(20), side, big_phi - side,
+                        [d, big_phi - d, d, big_phi - d]])
+    return u, p
 
 
 class TestCanonicalFunctions:
@@ -98,6 +221,21 @@ class TestCanonicalFunctions:
         assert trunc.tail_bound <= 1e-10
         rate = 2.0 * abs(math.log(0.5))
         assert math.exp(-rate * trunc.n_terms) / trunc.n_terms <= 1e-10
+
+
+class TestImageSums:
+    @pytest.mark.parametrize("N", [1, 2, 4, 6])
+    @pytest.mark.parametrize("b", [0.2, 0.4, 0.6])
+    def test_recurrence_matches_reference_loop(self, N, b):
+        # the j >= 1 images change their arithmetic order: agreement to a
+        # few ulps of max(1, |ref|), interior and within 1e-6 of the edges
+        u, p = sector_probe_points(N, b, np.random.default_rng(N + int(10 * b)))
+        ref = reference_images(N, b, u, p, grad=False)
+        ref_u, ref_p = reference_images(N, b, u, p, grad=True)
+        vals = _images(N, b, u, p, grad=False)
+        fu, fp = _images(N, b, u, p, grad=True)
+        for got, want in zip(vals + fu + fp, ref + ref_u + ref_p):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 class TestStateCoefficients:
@@ -298,6 +436,14 @@ class TestEnergyOracle:
         gap = (e1 - e2) / math.pi
         assert abs(gap - 2.0 * math.log(2.0)) < 0.01 * 2.0 * math.log(2.0)
 
+    def test_blocked_level_matches_per_panel_reference(self):
+        # same nodes and weights, summed in another order
+        spec, b, eps = state_coefficients("U2", 4), 0.4, 1e-3
+        for level in ((20, 36, 10, 2), (30, 54, 14, 3)):
+            want = reference_oracle_level(spec, b, eps, *level)
+            got = _oracle_level(spec, b, eps, *level)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_rotation_part_decouples(self):
         # Dirichlet energy = rotation part + canonical part: the canonical
         # functions vanish on the straight edges where the rotation flux
@@ -312,6 +458,25 @@ class TestEnergyOracle:
         e_f = energy_quadrature_oracle(f_only, b, eps)
         rotation = 0.5 * a0 ** 2 * (2.0 * math.pi / N) * math.log(1.0 / b)
         assert abs(e_full - rotation - e_f) < 0.005 * abs(e_full)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("call", [
+        lambda: director(state_coefficients("U2", 4), 1.5, 0.7, 0.5),
+        lambda: director_gradient(state_coefficients("U2", 4), 1.0, 0.7, 0.5),
+        lambda: series_s(1, 4, 1.5),
+        lambda: normalized_energy("D", 4, 1.0),
+        lambda: total_energy("U2", 4, 1.5, 0.01),
+        lambda: crossover_N(1.5, 10),
+        lambda: SeriesTruncation.for_geometry(4, 1.5),
+        lambda: canonical_f_exact(0, 4, 0.5, 0.7, 0.5),
+        lambda: canonical_f_exact(5, 4, 0.5, 0.7, 0.5),
+    ], ids=["director", "director_gradient", "series_s", "normalized_energy",
+            "total_energy", "crossover_N", "truncation", "canonical_index_0",
+            "canonical_index_5"])
+    def test_rejects_out_of_domain(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestCrossover:
