@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harmonic, ldg, pde, svgplot
 from .numerics import NewtonDiverged, NonConvergence
-from .of_strong import NoSpiralBranch, delta_n, spiral_solve
+from .of_strong import delta_n, spiral_solve
 from .of_weak import AnchoringParams, delta_weak
 
 SCHEMA_VERSION = 1
@@ -36,8 +36,17 @@ def fmt17(x) -> str:
     return str(x)
 
 
+def open_output(path: str):
+    """Open an output file for writing; an unwritable path is a
+    configuration error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
 def write_table(path: str, columns, rows, comment: str) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -48,7 +57,7 @@ def write_json_table(path: str, columns, rows, comment: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "comment": comment,
                "columns": list(columns),
                "rows": [list(map(float, row)) for row in rows]}
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 
@@ -167,7 +176,7 @@ def stability_strong(ctx, b_min, b_max, steps, out, svg_path, fmt, config_path):
         svg = svgplot.line_plot([(bs, [r[1] for r in rows], "delta1")],
                                 title="defect-free stability boundary",
                                 xlabel="b", ylabel="delta1")
-        with open(p["svg_path"], "w") as fh:
+        with open_output(p["svg_path"]) as fh:
             fh.write(svg)
     click.echo(f"wrote {p['out']}")
 
@@ -198,6 +207,8 @@ def stability_weak(ctx, b, ks, alpha_min, alpha_max, steps, out_prefix,
         k_list = [int(s) for s in str(p["ks"]).split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse order list {p['ks']!r}")
+    if min(k_list) < 0:
+        raise ConfigError("need orders k >= 0")
     alphas = np.linspace(p["alpha_min"], p["alpha_max"], p["steps"])
     series = []
     for k in k_list:
@@ -215,7 +226,7 @@ def stability_weak(ctx, b, ks, alpha_min, alpha_max, steps, out_prefix,
     if p["svg_path"]:
         svg = svgplot.line_plot(series, title=f"stability curves, b={p['b']:g}",
                                 xlabel="delta", ylabel="alpha")
-        with open(p["svg_path"], "w") as fh:
+        with open_output(p["svg_path"]) as fh:
             fh.write(svg)
         click.echo(f"wrote {p['svg_path']}")
 
@@ -240,7 +251,8 @@ def spiral(ctx, b, delta, n_profile, out, svg_path, fmt, config_path):
     try:
         state = _solver_guard(lambda: spiral_solve(p["delta"], p["b"],
                                                    n_profile=p["n_profile"]))
-    except NoSpiralBranch as exc:
+    except ValueError as exc:
+        # out-of-range inputs, NoSpiralBranch included
         raise ConfigError(str(exc))
     t = state.profile.nodes
     r = np.exp(-t)[::-1]
@@ -256,7 +268,7 @@ def spiral(ctx, b, delta, n_profile, out, svg_path, fmt, config_path):
         theta = pp.ravel() + 0.5 * math.pi + uu
         svg = svgplot.director_plot(rr.ravel(), pp.ravel(), theta,
                                     title=f"spiral state, delta={p['delta']:g}")
-        with open(p["svg_path"], "w") as fh:
+        with open_output(p["svg_path"]) as fh:
             fh.write(svg)
     click.echo(f"wrote {p['out']}")
 
@@ -325,28 +337,39 @@ def pde_solve(ctx, b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
                  out=out, svg_path=svg_path)
     if not 0.0 < p["b"] < 1.0:
         raise ConfigError("b must lie in (0,1)")
-    if p["sector_n"]:
-        grid = pde.PolarGrid.sector(p["b"], p["sector_n"], p["nr"], p["nphi"])
-        spec = harmonic.state_coefficients(p["state"], p["sector_n"],
-                                           full_annulus=False)
-        corner = None
-        if p["pin_eps"]:
-            corner = pde.corner_pin_mask(grid, p["pin_eps"])
-        bc = pde.BoundaryConditions(pin_mask=corner)
-        init = pde.sector_state_field(grid, spec, bc)
-    else:
-        grid = pde.PolarGrid.annulus(p["b"], p["nr"], p["nphi"])
-        if p["alpha"] is not None:
-            bc = pde.BoundaryConditions(kind="robin",
-                                        anchoring=AnchoringParams(p["alpha"]))
+    if p["sector_n"] is not None and p["sector_n"] < 1:
+        raise ConfigError("need sector-n >= 1")
+    if p["sector_n"] is not None and p["alpha"] is not None:
+        raise ConfigError("weak anchoring (--alpha) needs the full annulus")
+    try:
+        if p["sector_n"] is not None:
+            grid = pde.PolarGrid.sector(p["b"], p["sector_n"], p["nr"], p["nphi"])
+            spec = harmonic.state_coefficients(p["state"], p["sector_n"],
+                                               full_annulus=False)
+            corner = None
+            if p["pin_eps"]:
+                corner = pde.corner_pin_mask(grid, p["pin_eps"])
+            bc = pde.BoundaryConditions(pin_mask=corner)
+            init = pde.sector_state_field(grid, spec, bc)
         else:
-            bc = pde.BoundaryConditions()
-        init = pde.defect_free_field(grid, bc)
+            grid = pde.PolarGrid.annulus(p["b"], p["nr"], p["nphi"])
+            if p["alpha"] is not None:
+                bc = pde.BoundaryConditions(kind="robin",
+                                            anchoring=AnchoringParams(p["alpha"]))
+            else:
+                bc = pde.BoundaryConditions()
+            init = pde.defect_free_field(grid, bc)
+    except ValueError as exc:
+        # grid size, anchoring strength or state rejected by the library
+        raise ConfigError(str(exc))
 
     def run_solve():
         return pde.solve_el(grid, p["delta"], bc, init)
 
-    fld, report = _solver_guard(run_solve)
+    try:
+        fld, report = _solver_guard(run_solve)
+    except pde.SingularAnisotropy as exc:
+        raise ConfigError(str(exc))
     rows = []
     for i, r in enumerate(grid.r_nodes):
         for j, ph in enumerate(grid.phi_nodes):
@@ -356,7 +379,10 @@ def pde_solve(ctx, b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
                 f"b={fmt17(p['b'])} delta={fmt17(p['delta'])}")
     click.echo(json.dumps({"iterations": report.iterations,
                            "final_residual": report.final_residual,
-                           "converged": report.converged}), err=True)
+                           "converged": report.converged,
+                           "assemble_s": report.assemble_s,
+                           "linear_solve_s": report.linear_solve_s,
+                           "line_search_s": report.line_search_s}), err=True)
     if p["svg_path"]:
         xx, pp_arr = grid.mesh()
         stride = max(1, grid.nr // 16)
@@ -364,7 +390,7 @@ def pde_solve(ctx, b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
         svg = svgplot.director_plot(np.exp(xx[sl]).ravel(), pp_arr[sl].ravel(),
                                     fld.theta[sl].ravel(),
                                     title=f"director, delta={p['delta']:g}")
-        with open(p["svg_path"], "w") as fh:
+        with open_output(p["svg_path"]) as fh:
             fh.write(svg)
     click.echo(f"wrote {p['out']}")
 
@@ -392,8 +418,12 @@ def bifurcation(ctx, b, delta_min, delta_max, steps, seed_amplitude, nr, nphi,
     if not 0.0 < p["b"] < 1.0 or p["delta_max"] <= p["delta_min"]:
         raise ConfigError("invalid geometry or anisotropy range")
     deltas = np.linspace(p["delta_min"], p["delta_max"], p["steps"])
-    pts = _solver_guard(lambda: pde.bifurcation_scan(
-        p["b"], deltas, p["seed_amplitude"], nr=p["nr"], nphi=p["nphi"]))
+    try:
+        pts = _solver_guard(lambda: pde.bifurcation_scan(
+            p["b"], deltas, p["seed_amplitude"], nr=p["nr"], nphi=p["nphi"]))
+    except ValueError as exc:
+        # the scan checks its grid and anisotropy range before solving
+        raise ConfigError(str(exc))
     rows = [(d, a, 0) for d, a in pts]
     emit_table(p["out"], p["fmt"], ["x", "y", "k"], rows,
                f"deformation amplitude (y) vs anisotropy (x), b={fmt17(p['b'])}, "
@@ -420,6 +450,8 @@ def ldg_profile(ctx, b, t, kind, n_nodes, out, fmt, config_path):
                  fmt=fmt)
     if not 0.0 < p["b"] < 1.0 or p["t"] < 0:
         raise ConfigError("need b in (0,1) and t >= 0")
+    if p["n_nodes"] < 16:
+        raise ConfigError("need n-nodes >= 16")
     solver = ldg.solve_s if p["kind"] == "s" else ldg.solve_u
     prof = _solver_guard(lambda: solver(p["b"], ldg.LdGParams(p["t"]),
                                         n_nodes=p["n_nodes"]))

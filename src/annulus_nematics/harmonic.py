@@ -34,6 +34,14 @@ class SlowConvergence(UserWarning):
     """Series truncation did not reach the requested tail bound."""
 
 
+def _check_sector(N: int, b: float) -> None:
+    """Reject a sector count below 1 or a radius ratio outside (0,1)."""
+    if N < 1:
+        raise ValueError("sector count must be at least 1")
+    if not 0.0 < b < 1.0:
+        raise ValueError("radius ratio must lie in (0,1)")
+
+
 @dataclass(frozen=True)
 class SeriesTruncation:
     """Number of series terms plus the guaranteed tail bound at mid-annulus."""
@@ -44,8 +52,7 @@ class SeriesTruncation:
     @classmethod
     def for_geometry(cls, N: int, b: float, tol: float = 1e-10) -> "SeriesTruncation":
         """Pick n_terms so exp(-(N/2)*n*|log b|)/n drops below tol."""
-        if not 0.0 < b < 1.0:
-            raise ValueError("radius ratio must lie in (0,1)")
+        _check_sector(N, b)
         rate = 0.5 * N * abs(math.log(b))
         n = 1
         while math.exp(-rate * n) / n > tol:
@@ -148,6 +155,7 @@ def canonical_f(i: int, N: int, b: float, r, phi,
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("canonical index must be 1..4")
+    _check_sector(N, b)
     if trunc is None:
         trunc = SeriesTruncation.for_geometry(N, b)
     r_arr, phi_arr = np.broadcast_arrays(np.asarray(r, dtype=float),
@@ -256,8 +264,7 @@ def _images(N: int, b: float, u, phi, grad: bool):
     nothing.  Contributions decay like b**(N*j); the sum stops once an
     image adds less than 1e-15.
     """
-    if not 0.0 < b < 1.0:
-        raise ValueError("radius ratio must lie in (0,1)")
+    _check_sector(N, b)
     m = 0.5 * N
     x = math.log(b)
     u, phi = np.broadcast_arrays(np.asarray(u, dtype=float),
@@ -319,8 +326,7 @@ def series_s(i: int, N: int, b: float) -> float:
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("series index must be 1..4")
-    if not 0.0 < b < 1.0:
-        raise ValueError("radius ratio must lie in (0,1)")
+    _check_sector(N, b)
     logb = math.log(b)
     total = 0.0
     for n in range(1, 400_000):

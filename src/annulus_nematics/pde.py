@@ -17,6 +17,7 @@ may be pinned to reference data and excluded from energy quadrature.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,9 @@ from .of_weak import AnchoringParams
 
 class SingularAnisotropy(ValueError):
     """Solver not validated beyond delta = 0.99."""
+
+
+MAX_ANISOTROPY = 0.99
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,10 @@ class SolveReport:
     damping_events: int
     converged: bool
     energy_history: list = field(default_factory=list)
+    # seconds summed over the solve
+    assemble_s: float = 0.0
+    linear_solve_s: float = 0.0
+    line_search_s: float = 0.0
 
 
 def defect_free_field(grid: PolarGrid,
@@ -170,30 +178,6 @@ def _roll_phi(arr: np.ndarray, shift: int) -> np.ndarray:
     else:
         raise ValueError("shift must be +-1")
     return out
-
-
-def _neighbor_tables(grid: PolarGrid):
-    """Flat index arrays of the 8 stencil neighbours (phi may wrap)."""
-    nr, nphi = grid.nr, grid.nphi
-    ii, jj = np.meshgrid(np.arange(nr), np.arange(nphi), indexing="ij")
-    if grid.periodic:
-        jp = (jj + 1) % nphi
-        jm = (jj - 1) % nphi
-    else:
-        jp = np.clip(jj + 1, 0, nphi - 1)
-        jm = np.clip(jj - 1, 0, nphi - 1)
-    ipl = np.clip(ii + 1, 0, nr - 1)
-    imn = np.clip(ii - 1, 0, nr - 1)
-
-    def flat(i, j):
-        return i * nphi + j
-
-    return {
-        "c": flat(ii, jj), "e": flat(ipl, jj), "w": flat(imn, jj),
-        "n": flat(ii, jp), "s": flat(ii, jm),
-        "ne": flat(ipl, jp), "nw": flat(imn, jp),
-        "se": flat(ipl, jm), "sw": flat(imn, jm),
-    }
 
 
 def _derivative_fields(grid: PolarGrid, theta: np.ndarray):
@@ -337,89 +321,138 @@ def of_energy_2d(fld: DirectorField, delta: float, k3: float = 1.0,
     return _energy_arrays(fld.grid, fld.theta, delta, k3, eps)
 
 
-def _assemble_system(grid: PolarGrid, theta: np.ndarray, delta: float,
-                     bc: BoundaryConditions, active: np.ndarray,
-                     unknown_of: np.ndarray, tables: dict):
-    """Residual vector and sparse Jacobian over the active nodes."""
-    nr, nphi = grid.nr, grid.nphi
-    hx, hp = grid.hx, grid.hp
-    res_grid, (t_x, t_p, s, c, beta, gamma) = _interior_residual(grid, theta, delta)
+# 9-point stencil offsets (di, dj), in the order of the Jacobian
+# coefficients: centre, e, w, n, s, ne, sw, nw, se
+_STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+            (1, 1), (-1, -1), (-1, 1), (1, -1))
 
-    a_coef = 1.0 - 0.5 * delta
-    d_xx = a_coef + 0.5 * delta * c
-    d_pp = a_coef - 0.5 * delta * c
-    d_xp = delta * s
-    d_p1 = delta * (-s * t_x + c * (t_p - 1.0))
-    d_q1 = delta * (s * (t_p - 1.0) + c * t_x)
-    d_cc = delta * (c * beta - s * gamma)
+# largest box side that nested dissection numbers row by row
+DISSECTION_LEAF = 4
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(int(active.sum()))
 
-    interior = active.copy()
-    interior[0, :] = False
-    interior[-1, :] = False
-    flat_int = np.nonzero(interior.ravel())[0]
-    urow = unknown_of.ravel()[flat_int]
-    rhs[urow] = res_grid.ravel()[flat_int]
+def _dissection_order(nr: int, nphi: int) -> np.ndarray:
+    """Flat indices of an nr x nphi grid in geometric nested-dissection order.
 
-    stencil = {
-        "c": (-2.0 * d_xx / hx ** 2 - 2.0 * d_pp / hp ** 2 + d_cc),
-        "e": (d_xx / hx ** 2 + d_p1 / (2.0 * hx)),
-        "w": (d_xx / hx ** 2 - d_p1 / (2.0 * hx)),
-        "n": (d_pp / hp ** 2 + d_q1 / (2.0 * hp)),
-        "s": (d_pp / hp ** 2 - d_q1 / (2.0 * hp)),
-        "ne": (d_xp / (4.0 * hx * hp)),
-        "sw": (d_xp / (4.0 * hx * hp)),
-        "nw": (-d_xp / (4.0 * hx * hp)),
-        "se": (-d_xp / (4.0 * hx * hp)),
-    }
-    unknown_flat = unknown_of.ravel()
-    for key, coef in stencil.items():
-        nbr = tables[key].ravel()[flat_int]
-        uu = unknown_flat[nbr]
-        keep = uu >= 0
-        rows.append(urow[keep])
-        cols.append(uu[keep])
-        vals.append(coef.ravel()[flat_int][keep])
+    The index box is bisected along its longer side; both halves are
+    numbered recursively, then the separator line.  A 9-point stencil
+    never couples nodes across a grid line, so the halves factor
+    independently and fill stays within them (George, SIAM J. Numer.
+    Anal. 10 (1973) 345).
+    """
+    parts = []
 
-    if bc.kind == "robin":
-        alpha = bc.anchoring.alpha
-        for side, irow in (("inner", 0), ("outer", nr - 1)):
-            res_b, (bt_x, bt_p, bs, bc_) = _robin_residual(grid, theta, delta,
-                                                           alpha, side)
-            surf = -0.5 * alpha if side == "outer" else 0.5 * alpha * grid.b
-            dg_dx = 0.5 * (2.0 - delta) + 0.5 * delta * bc_
-            dg_dp = 0.5 * delta * bs
-            dg_dc = delta * (bt_p * bc_ - bt_x * bs) + 2.0 * surf * bc_
-            j_idx = np.arange(nphi)
-            urow_b = unknown_of[irow, :]
-            rhs[urow_b] = res_b
-            if side == "outer":
-                xw = (3.0, -4.0, 1.0)
-                irows = (nr - 1, nr - 2, nr - 3)
-            else:
-                xw = (-3.0, 4.0, -1.0)
-                irows = (0, 1, 2)
-            entries = [
-                (irows[0], j_idx, dg_dx * xw[0] / (2.0 * hx) + dg_dc),
-                (irows[1], j_idx, dg_dx * xw[1] / (2.0 * hx)),
-                (irows[2], j_idx, dg_dx * xw[2] / (2.0 * hx)),
-                (irows[0], (j_idx + 1) % nphi, dg_dp / (2.0 * hp)),
-                (irows[0], (j_idx - 1) % nphi, -dg_dp / (2.0 * hp)),
-            ]
-            for ti, tj, vv in entries:
-                uu = unknown_of[ti, tj]
-                keep = uu >= 0
-                rows.append(urow_b[keep])
-                cols.append(uu[keep])
-                vals.append(np.asarray(vv)[keep])
+    def visit(box):
+        n0, n1 = box.shape
+        if n0 <= DISSECTION_LEAF and n1 <= DISSECTION_LEAF:
+            parts.append(box.ravel())
+        elif n0 >= n1:
+            m = n0 // 2
+            visit(box[:m])
+            visit(box[m + 1:])
+            parts.append(box[m])
+        else:
+            m = n1 // 2
+            visit(box[:, :m])
+            visit(box[:, m + 1:])
+            parts.append(box[:, m])
 
-    n_unknown = int(active.sum())
-    jac = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown))
-    return rhs, jac
+    visit(np.arange(nr * nphi).reshape(nr, nphi))
+    return np.concatenate(parts)
+
+
+class _NewtonSystem:
+    """Numbering and sparsity pattern of the Newton system of one solve.
+
+    Both depend only on the grid and the active mask, so they are built
+    once.  Sector unknowns are numbered in nested-dissection order and
+    factored without column permutation; the periodic annulus, a thin
+    strip, keeps row-major numbering under minimum degree on A^T + A.
+    ``src`` maps the flat coefficient vector (9 stencil planes, then 5
+    Robin planes per circle) onto the CSR data, so a Newton step only
+    gathers values.
+    """
+
+    def __init__(self, grid: PolarGrid, bc: BoundaryConditions,
+                 active: np.ndarray):
+        self.grid, self.bc = grid, bc
+        nr, nphi = grid.nr, grid.nphi
+        ncell = nr * nphi
+        if grid.periodic:
+            order = np.flatnonzero(active)
+            self.permc_spec = "MMD_AT_PLUS_A"
+        else:
+            nd = _dissection_order(nr, nphi)
+            order = nd[active.ravel()[nd]]
+            self.permc_spec = "NATURAL"
+        n = order.size
+        # unknown number of each node; n marks a fixed node, and the
+        # extra last entry makes the node index -1 a fixed node too
+        unknown_of = np.full(ncell + 1, n)
+        unknown_of[order] = np.arange(n)
+        ii, jj = np.divmod(order, nphi)
+        di, dj = np.array(_STENCIL).T
+        nbr = (ii[:, None] + di) * nphi + (jj[:, None] + dj) % nphi
+        src = np.arange(9) * ncell + order[:, None]
+        # unknowns on a circle (Robin only) carry one-sided x differences
+        # plus the azimuthal neighbours, 5 entries each
+        self.edge = np.flatnonzero((ii == 0) | (ii == nr - 1))
+        outer = ii[self.edge, None] > 0
+        self.edge_src = outer[:, 0] * nphi + jj[self.edge]
+        x_step = np.where(outer, -1, 1) * np.array([0, 1, 2, 0, 0])
+        nbr[self.edge, :5] = ((ii[self.edge, None] + x_step) * nphi
+                              + (jj[self.edge, None] + [0, 0, 0, 1, -1]) % nphi)
+        nbr[self.edge, 5:] = -1
+        src[self.edge, :5] = (9 * ncell + (5 * outer + np.arange(5)) * nphi
+                              + jj[self.edge, None])
+        cols = unknown_of[nbr]
+        by_col = np.argsort(cols, axis=1)
+        cols = np.take_along_axis(cols, by_col, axis=1)
+        keep = cols < n
+        self.order = order
+        self.n = n
+        self.indices = cols[keep].astype(np.int32)
+        self.src = np.take_along_axis(src, by_col, axis=1)[keep]
+        self.indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))
+                                     ).astype(np.int32)
+
+    def assemble(self, theta: np.ndarray, delta: float):
+        """Residual vector and Jacobian over the unknowns, in solve order."""
+        grid = self.grid
+        hx, hp = grid.hx, grid.hp
+        res_grid, (t_x, t_p, s, c, beta, gamma) = _interior_residual(grid, theta,
+                                                                     delta)
+        a_coef = 1.0 - 0.5 * delta
+        d_xx = a_coef + 0.5 * delta * c
+        d_pp = a_coef - 0.5 * delta * c
+        d_xp = delta * s / (4.0 * hx * hp)
+        d_p1 = delta * (-s * t_x + c * (t_p - 1.0)) / (2.0 * hx)
+        d_q1 = delta * (s * (t_p - 1.0) + c * t_x) / (2.0 * hp)
+        d_cc = delta * (c * beta - s * gamma)
+        planes = [-2.0 * d_xx / hx ** 2 - 2.0 * d_pp / hp ** 2 + d_cc,
+                  d_xx / hx ** 2 + d_p1, d_xx / hx ** 2 - d_p1,
+                  d_pp / hp ** 2 + d_q1, d_pp / hp ** 2 - d_q1,
+                  d_xp, d_xp, -d_xp, -d_xp]
+        rhs = res_grid.ravel()[self.order]
+        if self.edge.size:
+            alpha = self.bc.anchoring.alpha
+            res_edge = []
+            for side in ("inner", "outer"):
+                res_b, (bt_x, bt_p, bs, bc_) = _robin_residual(grid, theta, delta,
+                                                               alpha, side)
+                surf = -0.5 * alpha if side == "outer" else 0.5 * alpha * grid.b
+                xw = (3.0, -4.0, 1.0) if side == "outer" else (-3.0, 4.0, -1.0)
+                dg_dx = 0.5 * (2.0 - delta) + 0.5 * delta * bc_
+                dg_dp = 0.5 * delta * bs / (2.0 * hp)
+                dg_dc = delta * (bt_p * bc_ - bt_x * bs) + 2.0 * surf * bc_
+                res_edge.append(res_b)
+                planes += [dg_dx * xw[0] / (2.0 * hx) + dg_dc,
+                           dg_dx * xw[1] / (2.0 * hx), dg_dx * xw[2] / (2.0 * hx),
+                           dg_dp, -dg_dp]
+            rhs[self.edge] = np.concatenate(res_edge)[self.edge_src]
+        data = np.concatenate([p.ravel() for p in planes])[self.src]
+        jac = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+                                      shape=(self.n, self.n))
+        return rhs, jac
 
 
 def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
@@ -433,8 +466,9 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     when Newton cannot produce an acceptable step the solver falls back to
     damped relaxation sweeps before giving up.
     """
-    if delta > 0.99:
-        raise SingularAnisotropy("anisotropy above 0.99 is out of validated range")
+    if delta > MAX_ANISOTROPY:
+        raise SingularAnisotropy(f"anisotropy above {MAX_ANISOTROPY} is out of "
+                                 "validated range")
     if bc.kind == "robin" and not grid.periodic:
         raise ValueError("weak anchoring is only offered on the full annulus")
     theta = init.theta.copy()
@@ -449,9 +483,10 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
         active[:, -1] = False
     if bc.pin_mask is not None:
         active &= ~bc.pin_mask
-    unknown_of = np.full((nr, nphi), -1, dtype=int)
-    unknown_of[active] = np.arange(int(active.sum()))
-    tables = _neighbor_tables(grid)
+    t0 = time.perf_counter()
+    system = _NewtonSystem(grid, bc, active)
+    # assemble, linear solve, line search; the pattern counts as assembly
+    times = [time.perf_counter() - t0, 0.0, 0.0]
 
     def residual_norm(th):
         res, _ = _interior_residual(grid, th, delta)
@@ -475,18 +510,23 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     n_iter = 0
     rnorm = residual_norm(theta)
     while rnorm > tol and n_iter < max_iter:
-        rhs, jac = _assemble_system(grid, theta, delta, bc, active,
-                                    unknown_of, tables)
+        t0 = time.perf_counter()
+        rhs, jac = system.assemble(theta, delta)
+        t1 = time.perf_counter()
         try:
-            step = scipy.sparse.linalg.spsolve(jac, -rhs)
+            step = scipy.sparse.linalg.spsolve(jac, -rhs,
+                                               permc_spec=system.permc_spec)
         except RuntimeError:
             step = None
+        t2 = time.perf_counter()
+        times[0] += t1 - t0
+        times[1] += t2 - t1
         accepted = False
         if step is not None and np.all(np.isfinite(step)):
             lam = 1.0
             while lam >= 1e-4:
                 trial = theta.copy()
-                trial[active] += lam * step
+                trial.ravel()[system.order] += lam * step
                 e_try = _energy_arrays(grid, trial, delta, 1.0)
                 r_try = residual_norm(trial)
                 if e_try <= energy + slack \
@@ -497,6 +537,7 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
                     break
                 lam *= 0.5
                 damping_events += 1
+            times[2] += time.perf_counter() - t2
         if not accepted:
             # relaxation fallback: damped explicit sweeps along the
             # steepest residual direction, still energy-monotone
@@ -518,12 +559,14 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
                         break
             rnorm = residual_norm(theta)
             if not improved:
-                report = SolveReport(n_iter, rnorm, damping_events, False, history)
+                report = SolveReport(n_iter, rnorm, damping_events, False,
+                                     history, *times)
                 raise NewtonDiverged(f"stalled at residual {rnorm:.3e}",
                                      [report])
         n_iter += 1
     converged = rnorm <= tol
-    report = SolveReport(n_iter, rnorm, damping_events, converged, history)
+    report = SolveReport(n_iter, rnorm, damping_events, converged, history,
+                         *times)
     if not converged:
         raise NewtonDiverged(f"no convergence after {max_iter} iterations "
                              f"(residual {rnorm:.3e})", [report])
@@ -542,6 +585,9 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
     the energy guard rejects; the scan then retries with the deviation
     amplified until the solve lands on the stable branch.
     """
+    if any(d > MAX_ANISOTROPY for d in delta_values):
+        raise SingularAnisotropy(f"anisotropy above {MAX_ANISOTROPY} is out of "
+                                 "validated range")
     grid = PolarGrid.annulus(b, nr, nphi)
     xx, pp = grid.mesh()
     mode = np.sin(math.pi * xx / math.log(b))

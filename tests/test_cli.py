@@ -86,6 +86,11 @@ class TestSpiral:
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
 
+    def test_anisotropy_above_one_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["spiral", "--b", "0.5", "--delta", "1.5",
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2, res.output
+
 
 class TestDefectStates:
     def test_columns_and_odd_gaps(self, runner, tmp_path):
@@ -132,7 +137,33 @@ class TestPdeSolve:
                                    "--nr", "20", "--nphi", "16",
                                    "--out", str(out)])
         assert res.exit_code == 0
-        # stderr carries the JSON solve report
+        # stderr carries the JSON solve report, phase timings included
+        report = json.loads(res.stderr.splitlines()[0])
+        assert report["converged"] and report["iterations"] == 0
+        for key in ("assemble_s", "linear_solve_s", "line_search_s"):
+            assert report[key] >= 0.0
+
+    @pytest.mark.parametrize("args", [
+        ["--delta", "0.995"],
+        ["--nr", "8"],
+        ["--alpha", "-1"],
+        ["--sector-n", "2", "--alpha", "1"],
+        ["--sector-n", "0"],
+    ], ids=["singular_anisotropy", "coarse_grid", "negative_alpha",
+            "alpha_on_sector", "zero_sectors"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args):
+        out = tmp_path / "fld.csv"
+        res = runner.invoke(main, ["pde-solve", "--b", "0.3", "--delta", "0.5",
+                                   "--nr", "24", "--nphi", "20", *args,
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_unwritable_out_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["pde-solve", "--b", "0.3", "--delta", "0.0",
+                                   "--nr", "20", "--nphi", "16",
+                                   "--out", str(tmp_path / "missing" / "f.csv")])
+        assert res.exit_code == 2, res.output
 
     def test_sector_solve(self, runner, tmp_path):
         out = tmp_path / "fld.csv"
@@ -161,6 +192,24 @@ class TestBifurcation:
         assert data[0, 1] < 1e-6
         assert data[-1, 1] > 0.05
 
+    @pytest.mark.parametrize("args", [
+        ["--delta-min", "0.9", "--delta-max", "1.2", "--nr", "33"],
+        ["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "8"],
+    ], ids=["singular_range", "coarse_grid"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args):
+        out = tmp_path / "bf.csv"
+        res = runner.invoke(main, ["bifurcation", "--b", "0.2", "--steps", "4",
+                                   *args, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_unwritable_out_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["bifurcation", "--b", "0.2",
+                                   "--delta-min", "0.1", "--delta-max", "0.2",
+                                   "--steps", "2", "--nr", "33",
+                                   "--out", str(tmp_path / "missing" / "bf.csv")])
+        assert res.exit_code == 2, res.output
+
 
 class TestLdgCommands:
     def test_profile_values(self, runner, tmp_path):
@@ -172,6 +221,13 @@ class TestLdgCommands:
         assert cols == ["r", "value"]
         assert abs(data[0, 1] - 1 / math.sqrt(2)) < 1e-12
         assert "energy=" in comment
+
+    def test_too_few_profile_nodes_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "lp.csv"
+        res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "1",
+                                   "--n-nodes", "2", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
 
     def test_stability_table(self, runner, tmp_path):
         out = tmp_path / "ls.csv"
@@ -237,6 +293,13 @@ class TestDeterminism:
                                    "--k", "0,x", "--out-prefix",
                                    str(tmp_path / "sw")])
         assert res.exit_code == 2
+
+    def test_negative_order_is_config_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["stability-weak", "--b", "0.5",
+                                   "--k", "-1", "--out-prefix",
+                                   str(tmp_path / "sw")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "sw_k-1.csv").exists()
 
 
 class TestConfigHandling:

@@ -471,11 +471,25 @@ class TestDomain:
         lambda: SeriesTruncation.for_geometry(4, 1.5),
         lambda: canonical_f_exact(0, 4, 0.5, 0.7, 0.5),
         lambda: canonical_f_exact(5, 4, 0.5, 0.7, 0.5),
+        lambda: canonical_f(1, 4, 1.5, 0.7, 0.5, SeriesTruncation(40, 1e-10)),
     ], ids=["director", "director_gradient", "series_s", "normalized_energy",
             "total_energy", "crossover_N", "truncation", "canonical_index_0",
-            "canonical_index_5"])
+            "canonical_index_5", "canonical_f_explicit_truncation"])
     def test_rejects_out_of_domain(self, call):
         with pytest.raises(ValueError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: canonical_f_exact(1, -2, 0.5, 0.7, 0.5),
+        lambda: canonical_f_exact(1, 0, 0.5, 0.7, 0.5),
+        lambda: canonical_f(1, 0, 0.5, 0.7, 0.5),
+        lambda: series_s(1, -2, 0.5),
+        lambda: normalized_energy("U2", 0, 0.5),
+        lambda: SeriesTruncation.for_geometry(0, 0.5),
+    ], ids=["canonical_f_exact_N_negative", "canonical_f_exact_N_zero",
+            "canonical_f", "series_s", "normalized_energy", "truncation"])
+    def test_rejects_sector_count_below_one(self, call):
+        with pytest.raises(ValueError, match="sector count"):
             call()
 
 

@@ -1,13 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from annulus_nematics.harmonic import state_coefficients, total_energy
 from annulus_nematics.of_strong import delta_n, pitchfork_amplitude
+from annulus_nematics.numerics import NewtonDiverged
 from annulus_nematics.of_weak import AnchoringParams, delta_weak
 from annulus_nematics.pde import (
+    _NewtonSystem,
+    _interior_residual,
+    _robin_residual,
     BoundaryConditions,
     DirectorField,
     PolarGrid,
@@ -278,3 +285,208 @@ class TestAnisotropicEnergy:
         energies = {kind: anisotropic_state_energy(b, N, kind, 0.9, eps, nr=97)
                     for kind in ("U1", "U2", "U3", "D")}
         assert energies["U2"] == min(energies.values())
+
+
+def reference_assembly(grid, theta, delta, bc, active):
+    """Reference: COO assembly of the Newton system in row-major numbering.
+
+    Builds every stencil and Robin entry from 8-neighbour index tables and
+    lets scipy sum and sort them into CSR.
+    """
+    nr, nphi = grid.nr, grid.nphi
+    hx, hp = grid.hx, grid.hp
+    unknown_of = np.full((nr, nphi), -1)
+    unknown_of[active] = np.arange(int(active.sum()))
+    ii, jj = np.meshgrid(np.arange(nr), np.arange(nphi), indexing="ij")
+    if grid.periodic:
+        jp, jm = (jj + 1) % nphi, (jj - 1) % nphi
+    else:
+        jp, jm = np.clip(jj + 1, 0, nphi - 1), np.clip(jj - 1, 0, nphi - 1)
+    ipl, imn = np.clip(ii + 1, 0, nr - 1), np.clip(ii - 1, 0, nr - 1)
+    tables = {"c": (ii, jj), "e": (ipl, jj), "w": (imn, jj), "n": (ii, jp),
+              "s": (ii, jm), "ne": (ipl, jp), "nw": (imn, jp),
+              "se": (ipl, jm), "sw": (imn, jm)}
+
+    res_grid, (t_x, t_p, s, c, beta, gamma) = _interior_residual(grid, theta, delta)
+    a_coef = 1.0 - 0.5 * delta
+    d_xx = a_coef + 0.5 * delta * c
+    d_pp = a_coef - 0.5 * delta * c
+    d_xp = delta * s
+    d_p1 = delta * (-s * t_x + c * (t_p - 1.0))
+    d_q1 = delta * (s * (t_p - 1.0) + c * t_x)
+    d_cc = delta * (c * beta - s * gamma)
+    stencil = {
+        "c": (-2.0 * d_xx / hx ** 2 - 2.0 * d_pp / hp ** 2 + d_cc),
+        "e": (d_xx / hx ** 2 + d_p1 / (2.0 * hx)),
+        "w": (d_xx / hx ** 2 - d_p1 / (2.0 * hx)),
+        "n": (d_pp / hp ** 2 + d_q1 / (2.0 * hp)),
+        "s": (d_pp / hp ** 2 - d_q1 / (2.0 * hp)),
+        "ne": (d_xp / (4.0 * hx * hp)),
+        "sw": (d_xp / (4.0 * hx * hp)),
+        "nw": (-d_xp / (4.0 * hx * hp)),
+        "se": (-d_xp / (4.0 * hx * hp)),
+    }
+    n = int(active.sum())
+    rhs = np.zeros(n)
+    interior = active.copy()
+    interior[0, :] = False
+    interior[-1, :] = False
+    rows, cols, vals = [], [], []
+    urow = unknown_of[interior]
+    rhs[urow] = res_grid[interior]
+    for key, coef in stencil.items():
+        ti, tj = tables[key]
+        uu = unknown_of[ti[interior], tj[interior]]
+        keep = uu >= 0
+        rows.append(urow[keep])
+        cols.append(uu[keep])
+        vals.append(coef[interior][keep])
+    if bc.kind == "robin":
+        alpha = bc.anchoring.alpha
+        for side, irows in (("inner", (0, 1, 2)), ("outer", (nr - 1, nr - 2, nr - 3))):
+            res_b, (bt_x, bt_p, bs, bc_) = _robin_residual(grid, theta, delta,
+                                                           alpha, side)
+            surf = -0.5 * alpha if side == "outer" else 0.5 * alpha * grid.b
+            xw = (3.0, -4.0, 1.0) if side == "outer" else (-3.0, 4.0, -1.0)
+            dg_dx = 0.5 * (2.0 - delta) + 0.5 * delta * bc_
+            dg_dp = 0.5 * delta * bs
+            dg_dc = delta * (bt_p * bc_ - bt_x * bs) + 2.0 * surf * bc_
+            j_idx = np.arange(nphi)
+            urow_b = unknown_of[irows[0], :]
+            rhs[urow_b] = res_b
+            entries = [
+                (irows[0], j_idx, dg_dx * xw[0] / (2.0 * hx) + dg_dc),
+                (irows[1], j_idx, dg_dx * xw[1] / (2.0 * hx)),
+                (irows[2], j_idx, dg_dx * xw[2] / (2.0 * hx)),
+                (irows[0], (j_idx + 1) % nphi, dg_dp / (2.0 * hp)),
+                (irows[0], (j_idx - 1) % nphi, -dg_dp / (2.0 * hp)),
+            ]
+            for ti, tj, vv in entries:
+                uu = unknown_of[ti, tj]
+                keep = uu >= 0
+                rows.append(urow_b[keep])
+                cols.append(uu[keep])
+                vals.append(np.asarray(vv)[keep])
+    jac = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    return rhs, jac
+
+
+def active_nodes(grid, bc):
+    active = np.ones((grid.nr, grid.nphi), dtype=bool)
+    if bc.kind == "dirichlet":
+        active[0, :] = active[-1, :] = False
+    if not grid.periodic:
+        active[:, 0] = active[:, -1] = False
+    if bc.pin_mask is not None:
+        active &= ~bc.pin_mask
+    return active
+
+
+def newton_cases():
+    """(name, grid, bc, two off-equilibrium states, delta) per case."""
+    sector = PolarGrid.sector(0.3, 2, 33, 47)
+    ref = sector_state_field(sector, state_coefficients("U2", 2, full_annulus=False))
+    pinned = BoundaryConditions(pin_mask=corner_pin_mask(sector, 0.15))
+    annulus = PolarGrid.annulus(0.3, 24, 20)
+    xx, pp = annulus.mesh()
+    free = pp + 0.5 * math.pi
+    robin = BoundaryConditions(kind="robin", anchoring=AnchoringParams(0.7))
+    bump_s = np.sin(math.pi * (np.log(sector.r_nodes) / math.log(0.3)))[:, None] \
+        * np.sin(2.0 * sector.phi_nodes)[None, :]
+    bump_a = np.sin(math.pi * xx / math.log(0.3)) * np.cos(pp)
+    return [
+        ("pinned_sector", sector, pinned,
+         (ref.theta + 0.05 * bump_s, ref.theta - 0.1 * bump_s ** 2), 0.6),
+        ("dirichlet_annulus", annulus, BoundaryConditions(),
+         (free + 0.2 * bump_a, free + 0.1 * bump_a ** 3), 0.7),
+        ("robin_annulus", annulus, robin,
+         (free + 0.2 * np.cos(pp) + 0.1 * xx, free - 0.3 * np.sin(2 * pp)), 0.5),
+    ]
+
+
+@pytest.mark.parametrize("name, grid, bc, states, delta", newton_cases(),
+                         ids=[c[0] for c in newton_cases()])
+class TestNewtonSystem:
+    def test_numbering_is_permutation_of_active_nodes(self, name, grid, bc,
+                                                      states, delta):
+        active = active_nodes(grid, bc)
+        system = _NewtonSystem(grid, bc, active)
+        assert system.n == int(active.sum())
+        assert np.array_equal(np.sort(system.order), np.flatnonzero(active))
+
+    def test_top_level_halves_decoupled(self, name, grid, bc, states, delta):
+        active = active_nodes(grid, bc)
+        system = _NewtonSystem(grid, bc, active)
+        if grid.periodic:
+            # the thin periodic strip keeps row-major numbering
+            assert np.array_equal(system.order, np.flatnonzero(active))
+            return
+        # the first bisection cuts the longer side of the index box at
+        # its middle line; both halves come before that separator
+        ii, jj = np.divmod(system.order, grid.nphi)
+        coord, size = (ii, grid.nr) if grid.nr >= grid.nphi else (jj, grid.nphi)
+        mid = size // 2
+        n_lo, n_hi = int(np.sum(coord < mid)), int(np.sum(coord > mid))
+        assert np.all(coord[:n_lo] < mid)
+        assert np.all(coord[n_lo:n_lo + n_hi] > mid)
+        assert np.all(coord[n_lo + n_hi:] == mid)
+        _, jac = system.assemble(states[0], delta)
+        assert jac[:n_lo, n_lo:n_lo + n_hi].nnz == 0
+        assert jac[n_lo:n_lo + n_hi, :n_lo].nnz == 0
+
+    def test_refilled_jacobian_matches_reference(self, name, grid, bc, states,
+                                                 delta):
+        active = active_nodes(grid, bc)
+        system = _NewtonSystem(grid, bc, active)
+        rank = np.full(grid.nr * grid.nphi, -1)
+        rank[np.flatnonzero(active)] = np.arange(system.n)
+        row_major = rank[system.order]
+        for theta in states:
+            rhs, jac = system.assemble(theta, delta)
+            ref_rhs, ref_jac = reference_assembly(grid, theta, delta, bc, active)
+            ref = ref_jac[row_major][:, row_major]
+            ref.sort_indices()
+            assert np.array_equal(rhs, ref_rhs[row_major])
+            assert np.array_equal(jac.indptr, ref.indptr)
+            assert np.array_equal(jac.indices, ref.indices)
+            assert np.array_equal(jac.data, ref.data)
+
+    def test_ordered_step_matches_plain_solve(self, name, grid, bc, states, delta):
+        active = active_nodes(grid, bc)
+        system = _NewtonSystem(grid, bc, active)
+        rhs, jac = system.assemble(states[0], delta)
+        step = scipy.sparse.linalg.spsolve(jac, -rhs, permc_spec=system.permc_spec)
+        ref_rhs, ref_jac = reference_assembly(grid, states[0], delta, bc, active)
+        ref_step = np.zeros(grid.nr * grid.nphi)
+        ref_step[active.ravel()] = scipy.sparse.linalg.spsolve(ref_jac, -ref_rhs)
+        assert np.max(np.abs(step - ref_step[system.order])) \
+            <= 1e-12 * np.max(np.abs(ref_step))
+
+
+class TestSolveReport:
+    def setup_method(self):
+        grid = PolarGrid.sector(0.4, 4, 33, 33)
+        self.grid = grid
+        self.bc = BoundaryConditions(pin_mask=corner_pin_mask(grid, 0.1))
+        spec = state_coefficients("U2", 4)
+        self.init = DirectorField(grid, sector_state_field(grid, spec).theta,
+                                  self.bc)
+
+    def test_phase_timings_summed(self):
+        start = time.perf_counter()
+        _, rep = solve_el(self.grid, 0.6, self.bc, self.init)
+        elapsed = time.perf_counter() - start
+        assert rep.iterations > 0
+        assert rep.assemble_s > 0 and rep.linear_solve_s > 0
+        assert rep.line_search_s > 0
+        assert rep.assemble_s + rep.linear_solve_s + rep.line_search_s < elapsed
+
+    def test_diverged_report_carries_timings(self):
+        with pytest.raises(NewtonDiverged) as info:
+            solve_el(self.grid, 0.6, self.bc, self.init, max_iter=1)
+        rep = info.value.history[0]
+        assert rep.iterations == 1 and not rep.converged
+        assert rep.assemble_s > 0 and rep.linear_solve_s > 0
+        assert rep.line_search_s > 0
