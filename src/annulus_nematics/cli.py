@@ -341,13 +341,15 @@ def pde_solve(ctx, b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
         raise ConfigError("need sector-n >= 1")
     if p["sector_n"] is not None and p["alpha"] is not None:
         raise ConfigError("weak anchoring (--alpha) needs the full annulus")
+    if p["sector_n"] is None and p["pin_eps"] is not None:
+        raise ConfigError("core pinning (--pin-eps) needs a sector (--sector-n)")
     try:
         if p["sector_n"] is not None:
             grid = pde.PolarGrid.sector(p["b"], p["sector_n"], p["nr"], p["nphi"])
             spec = harmonic.state_coefficients(p["state"], p["sector_n"],
                                                full_annulus=False)
             corner = None
-            if p["pin_eps"]:
+            if p["pin_eps"] is not None:
                 corner = pde.corner_pin_mask(grid, p["pin_eps"])
             bc = pde.BoundaryConditions(pin_mask=corner)
             init = pde.sector_state_field(grid, spec, bc)
@@ -417,6 +419,8 @@ def bifurcation(ctx, b, delta_min, delta_max, steps, seed_amplitude, nr, nphi,
                  out=out, fmt=fmt)
     if not 0.0 < p["b"] < 1.0 or p["delta_max"] <= p["delta_min"]:
         raise ConfigError("invalid geometry or anisotropy range")
+    if p["steps"] < 1:
+        raise ConfigError("need steps >= 1")
     deltas = np.linspace(p["delta_min"], p["delta_max"], p["steps"])
     try:
         pts = _solver_guard(lambda: pde.bifurcation_scan(

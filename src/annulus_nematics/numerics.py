@@ -216,7 +216,9 @@ def solve_bvp(ode_rhs: Callable,
     Newton iteration (step halving until the residual decreases).  The
     right-hand side must act elementwise on arrays.  Returns the solution
     as a :class:`GridFunction`; the finite-difference residual at interior
-    nodes is below ``tol`` in max norm and the boundary values are exact.
+    nodes is below ``tol`` in max norm, or below its rounding floor
+    4 eps max|y| / h^2 where that is larger, and the boundary values are
+    exact.
 
     Raises
     ------
@@ -243,11 +245,17 @@ def solve_bvp(ode_rhs: Callable,
         d1 = (yv[2:] - yv[:-2]) / (2.0 * h)
         return d2 - ode_rhs(xi, yv[1:-1], d1)
 
+    def stop(yv):
+        # the second difference cannot resolve residuals below its
+        # rounding floor, a few ulps of y over h^2
+        floor = 4.0 * np.finfo(float).eps * float(np.max(np.abs(yv))) / h ** 2
+        return max(tol, floor)
+
     history = []
     res = residual(y)
     rnorm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
-        if rnorm <= tol:
+        if rnorm <= stop(y):
             return GridFunction(x, y)
         yi = y[1:-1]
         d1 = (y[2:] - y[:-2]) / (2.0 * h)
@@ -277,7 +285,7 @@ def solve_bvp(ode_rhs: Callable,
             raise NewtonDiverged("residual stalled under damping", history)
         history.append(lam)
         y, res, rnorm = y_try, res_try, rnorm_try
-    if rnorm <= tol:
+    if rnorm <= stop(y):
         return GridFunction(x, y)
     raise NewtonDiverged(f"no convergence after {max_iter} iterations "
                          f"(residual {rnorm:.3e})", history)

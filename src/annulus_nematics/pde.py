@@ -8,11 +8,13 @@ quasilinear elliptic equation; in log-radius x = log r it reads
               + cos(2T-2p) (T_xx - 2 T_x - T_pp + 2 T_x T_p) ] = 0
 
 with T the angle and p the azimuth.  Second-order central differences on
-a uniform (x, phi) grid, damped Newton with an energy-decrease line
-search, and a relaxation fallback near singular Jacobians.  Weak
-anchoring enters through nonlinear Robin rows on the two circles (full
-annulus only); sector edges are always Dirichlet.  Corner defect cores
-may be pinned to reference data and excluded from energy quadrature.
+a uniform (x, phi) grid, all slices of one ghost-padded field (edge copies,
+or the 2*pi seam offset on the annulus); damped Newton with an
+energy-decrease line search, one residual evaluation per iterate, and a
+relaxation fallback near singular Jacobians.  Weak anchoring enters
+through nonlinear Robin rows on the two circles (full annulus only);
+sector edges are always Dirichlet.  Corner defect cores may be pinned to
+reference data and excluded from energy quadrature.
 """
 from __future__ import annotations
 
@@ -146,17 +148,22 @@ def sector_state_field(grid: PolarGrid, spec, bc: Optional[BoundaryConditions] =
     return DirectorField(grid, theta, bc or BoundaryConditions())
 
 
+def _corner_disks(grid: PolarGrid, eps: float):
+    """(x, phi, radius) in log-radius of the four corner disks of radius eps."""
+    return [(cx, float(cp), rho)
+            for cx, rho in ((math.log(grid.b), eps / grid.b), (0.0, eps))
+            for cp in (grid.phi_nodes[0], grid.phi_nodes[-1])]
+
+
 def corner_pin_mask(grid: PolarGrid, eps_core: float) -> np.ndarray:
     """Nodes inside the four corner core disks (log-radius metric)."""
     if grid.periodic:
         raise ValueError("corner cores only exist on sector grids")
+    if not eps_core > 0.0:
+        raise ValueError("core radius must be positive")
     xx, pp = grid.mesh()
-    x_in, x_out = math.log(grid.b), 0.0
-    p0, p1 = float(grid.phi_nodes[0]), float(grid.phi_nodes[-1])
-    rho_out, rho_in = eps_core, eps_core / grid.b
     mask = np.zeros(xx.shape, dtype=bool)
-    for (cx, cp, rho) in ((x_in, p0, rho_in), (x_in, p1, rho_in),
-                          (x_out, p0, rho_out), (x_out, p1, rho_out)):
+    for (cx, cp, rho) in _corner_disks(grid, eps_core):
         mask |= (xx - cx) ** 2 + (pp - cp) ** 2 < rho ** 2
     return mask
 
@@ -164,98 +171,68 @@ def corner_pin_mask(grid: PolarGrid, eps_core: float) -> np.ndarray:
 TWO_PI = 2.0 * math.pi
 
 
-def _roll_phi(arr: np.ndarray, shift: int) -> np.ndarray:
-    """Azimuthal neighbour of an angle-like array on the periodic annulus.
+def _padded(grid: PolarGrid, arr: np.ndarray) -> np.ndarray:
+    """The field with one ghost layer: the neighbours of every stencil.
 
-    Tangent-anchored director fields wind once per revolution, so the
-    value wrapped across the seam is offset by 2*pi.
+    Ghosts copy their edge neighbour, except across the seam of the
+    periodic annulus, where the angle (director or azimuth, both winding
+    once per revolution) is offset by 2*pi.
     """
-    out = np.roll(arr, shift, axis=1)
-    if shift == -1:
-        out[:, -1] += TWO_PI
-    elif shift == 1:
-        out[:, 0] -= TWO_PI
-    else:
-        raise ValueError("shift must be +-1")
-    return out
-
-
-def _derivative_fields(grid: PolarGrid, theta: np.ndarray):
-    """Central difference fields; phi wraps on periodic grids."""
-    hx, hp = grid.hx, grid.hp
+    p = np.empty((arr.shape[0] + 2, arr.shape[1] + 2))
+    p[1:-1, 1:-1] = arr
+    p[[0, -1], 1:-1] = arr[[0, -1]]
     if grid.periodic:
-        tn = _roll_phi(theta, -1)
-        ts = _roll_phi(theta, 1)
+        p[:, 0], p[:, -1] = p[:, -2] - TWO_PI, p[:, 1] + TWO_PI
     else:
-        tn = np.empty_like(theta)
-        ts = np.empty_like(theta)
-        tn[:, :-1] = theta[:, 1:]
-        tn[:, -1] = theta[:, -1]
-        ts[:, 1:] = theta[:, :-1]
-        ts[:, 0] = theta[:, 0]
-    te = np.empty_like(theta)
-    tw = np.empty_like(theta)
-    te[:-1, :] = theta[1:, :]
-    te[-1, :] = theta[-1, :]
-    tw[1:, :] = theta[:-1, :]
-    tw[0, :] = theta[0, :]
+        p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    return p
 
+
+def _derivative_fields(grid: PolarGrid, p: np.ndarray):
+    """Central difference fields from the padded angle ``p``."""
+    hx, hp = grid.hx, grid.hp
+    tc = p[1:-1, 1:-1]
+    te, tw, tn, ts = p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]
     t_x = (te - tw) / (2.0 * hx)
     t_p = (tn - ts) / (2.0 * hp)
-    t_xx = (te - 2.0 * theta + tw) / hx ** 2
-    t_pp = (tn - 2.0 * theta + ts) / hp ** 2
-    if grid.periodic:
-        tne = _roll_phi(te, -1)
-        tse = _roll_phi(te, 1)
-        tnw = _roll_phi(tw, -1)
-        tsw = _roll_phi(tw, 1)
-    else:
-        tne = np.empty_like(theta)
-        tse = np.empty_like(theta)
-        tnw = np.empty_like(theta)
-        tsw = np.empty_like(theta)
-        tne[:, :-1] = te[:, 1:]
-        tne[:, -1] = te[:, -1]
-        tse[:, 1:] = te[:, :-1]
-        tse[:, 0] = te[:, 0]
-        tnw[:, :-1] = tw[:, 1:]
-        tnw[:, -1] = tw[:, -1]
-        tsw[:, 1:] = tw[:, :-1]
-        tsw[:, 0] = tw[:, 0]
-    t_xp = (tne - tse - tnw + tsw) / (4.0 * hx * hp)
+    t_xx = (te - 2.0 * tc + tw) / hx ** 2
+    t_pp = (tn - 2.0 * tc + ts) / hp ** 2
+    t_xp = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * hx * hp)
     return t_x, t_p, t_xx, t_pp, t_xp
 
 
-def _interior_residual(grid: PolarGrid, theta: np.ndarray, delta: float):
-    """Pointwise residual of the transformed equation (valid at interior)."""
+# Robin circles (inner, outer): grid rows outward in, and the weights of
+# the one-sided second-order x derivative on them, in units of 1/(2 hx)
+_CIRCLES = (((0, 1, 2), (-3.0, 4.0, -1.0)), ((-1, -2, -3), (3.0, -4.0, 1.0)))
+
+
+def _residual(grid: PolarGrid, theta: np.ndarray, delta: float,
+              alpha: Optional[float] = None):
+    """Residual of one iterate and the terms its Jacobian reuses.
+
+    Returns the pointwise residual of the transformed equation (valid at
+    interior nodes), the fields (t_x, t_p, s, c, beta, gamma), and given
+    ``alpha`` the Robin rows: per entry of ``_CIRCLES`` the residual, its
+    one-sided t_x and the surface factor.  The Robin azimuthal difference
+    and trigonometric factors are the interior ones on the circle rows.
+    """
     _, pp = grid.mesh()
-    t_x, t_p, t_xx, t_pp, t_xp = _derivative_fields(grid, theta)
+    t_x, t_p, t_xx, t_pp, t_xp = _derivative_fields(grid, _padded(grid, theta))
     big = 2.0 * theta - 2.0 * pp
     s, c = np.sin(big), np.cos(big)
     beta = 2.0 * t_xp + t_p ** 2 - t_x ** 2 - 2.0 * t_p
     gamma = t_xx - 2.0 * t_x - t_pp + 2.0 * t_x * t_p
     res = (1.0 - 0.5 * delta) * (t_xx + t_pp) + 0.5 * delta * (s * beta + c * gamma)
-    return res, (t_x, t_p, s, c, beta, gamma)
-
-
-def _robin_residual(grid: PolarGrid, theta: np.ndarray, delta: float,
-                    alpha: float, side: str):
-    """Weak-anchoring condition at a circle, one-sided second order in x."""
-    hx = grid.hx
-    if side == "outer":
-        t_x = (3.0 * theta[-1] - 4.0 * theta[-2] + theta[-3]) / (2.0 * hx)
-        row = theta[-1]
-        surf = -0.5 * alpha
-    else:
-        t_x = (-3.0 * theta[0] + 4.0 * theta[1] - theta[2]) / (2.0 * hx)
-        row = theta[0]
-        surf = 0.5 * alpha * grid.b
-    row2 = row[None, :]
-    t_p = (_roll_phi(row2, -1) - _roll_phi(row2, 1))[0] / (2.0 * grid.hp)
-    big = 2.0 * row - 2.0 * grid.phi_nodes
-    s, c = np.sin(big), np.cos(big)
-    res = 0.5 * (2.0 - delta) * t_x + 0.5 * delta * (t_p * s + t_x * c) + surf * s
-    return res, (t_x, t_p, s, c)
+    robin = []
+    if alpha is not None:
+        surfs = (0.5 * alpha * grid.b, -0.5 * alpha)
+        for ((i, j, k), xw), surf in zip(_CIRCLES, surfs):
+            bt_x = (xw[0] * theta[i] + xw[1] * theta[j] + xw[2] * theta[k]) \
+                / (2.0 * grid.hx)
+            res_b = 0.5 * (2.0 - delta) * bt_x \
+                + 0.5 * delta * (t_p[i] * s[i] + bt_x * c[i]) + surf * s[i]
+            robin.append((res_b, bt_x, surf))
+    return res, (t_x, t_p, s, c, beta, gamma), robin
 
 
 def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float, k3: float,
@@ -266,20 +243,18 @@ def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float, k3: float,
     combine the plain x/phi derivatives.  With ``eps`` the four sector
     corner disks are excluded, fractional cells by 4x4 supersampling.
     """
+    if eps is not None and grid.periodic:
+        raise ValueError("core exclusion requires a sector grid")
     xx, pp = grid.mesh()
-    if grid.periodic:
-        # close the seam; the director winds once per revolution
-        th = np.concatenate([theta, theta[:, :1] + TWO_PI], axis=1)
-        ph = np.concatenate([pp, pp[:, :1] + TWO_PI], axis=1)
-        xg = np.concatenate([xx, xx[:, :1]], axis=1)
-    else:
-        th, ph, xg = theta, pp, xx
+    # cell corners; on the annulus the ghost column closes the seam
+    last = None if grid.periodic else -1
+    th = _padded(grid, theta)[1:-1, 1:last]
+    ph = _padded(grid, pp)[1:-1, 1:last]
     hx, hp = grid.hx, grid.hp
     t_x = (th[1:, 1:] + th[1:, :-1] - th[:-1, 1:] - th[:-1, :-1]) / (2.0 * hx)
     t_p = (th[1:, 1:] - th[1:, :-1] + th[:-1, 1:] - th[:-1, :-1]) / (2.0 * hp)
     t_c = 0.25 * (th[1:, 1:] + th[1:, :-1] + th[:-1, 1:] + th[:-1, :-1])
     p_c = 0.25 * (ph[1:, 1:] + ph[1:, :-1] + ph[:-1, 1:] + ph[:-1, :-1])
-    x_c = 0.25 * (xg[1:, 1:] + xg[1:, :-1] + xg[:-1, 1:] + xg[:-1, :-1])
     diff = t_c - p_c
     splay = np.cos(diff) * t_p - np.sin(diff) * t_x
     bend = np.sin(diff) * t_p + np.cos(diff) * t_x
@@ -287,17 +262,12 @@ def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float, k3: float,
     dens = 0.5 * k1 * splay ** 2 + 0.5 * k3 * bend ** 2
     weight = np.ones_like(dens)
     if eps is not None:
-        if grid.periodic:
-            raise ValueError("core exclusion requires a sector grid")
-        corners = [(math.log(grid.b), float(grid.phi_nodes[0]), eps / grid.b),
-                   (math.log(grid.b), float(grid.phi_nodes[-1]), eps / grid.b),
-                   (0.0, float(grid.phi_nodes[0]), eps),
-                   (0.0, float(grid.phi_nodes[-1]), eps)]
+        x_c = 0.25 * (xx[1:, 1:] + xx[1:, :-1] + xx[:-1, 1:] + xx[:-1, :-1])
         # supersample cells near the disk rims for fractional weights
         sub = (np.arange(4) - 1.5) / 4.0
         sx = sub[:, None] * hx
         sp = sub[None, :] * hp
-        for (cx, cp, rho) in corners:
+        for (cx, cp, rho) in _corner_disks(grid, eps):
             d2 = (x_c - cx) ** 2 + (p_c - cp) ** 2
             inside = d2 < (rho - 1.5 * max(hx, hp)) ** 2
             rim = (~inside) & (d2 < (rho + 1.5 * max(hx, hp)) ** 2)
@@ -415,12 +385,11 @@ class _NewtonSystem:
         self.indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))
                                      ).astype(np.int32)
 
-    def assemble(self, theta: np.ndarray, delta: float):
-        """Residual vector and Jacobian over the unknowns, in solve order."""
+    def assemble(self, r, delta: float):
+        """Residual vector and Jacobian in solve order from ``_residual`` r."""
         grid = self.grid
         hx, hp = grid.hx, grid.hp
-        res_grid, (t_x, t_p, s, c, beta, gamma) = _interior_residual(grid, theta,
-                                                                     delta)
+        res_grid, (t_x, t_p, s, c, beta, gamma), robin = r
         a_coef = 1.0 - 0.5 * delta
         d_xx = a_coef + 0.5 * delta * c
         d_pp = a_coef - 0.5 * delta * c
@@ -434,21 +403,16 @@ class _NewtonSystem:
                   d_xp, d_xp, -d_xp, -d_xp]
         rhs = res_grid.ravel()[self.order]
         if self.edge.size:
-            alpha = self.bc.anchoring.alpha
-            res_edge = []
-            for side in ("inner", "outer"):
-                res_b, (bt_x, bt_p, bs, bc_) = _robin_residual(grid, theta, delta,
-                                                               alpha, side)
-                surf = -0.5 * alpha if side == "outer" else 0.5 * alpha * grid.b
-                xw = (3.0, -4.0, 1.0) if side == "outer" else (-3.0, 4.0, -1.0)
+            for (rows, xw), (res_b, bt_x, surf) in zip(_CIRCLES, robin):
+                bs, bc_ = s[rows[0]], c[rows[0]]
                 dg_dx = 0.5 * (2.0 - delta) + 0.5 * delta * bc_
                 dg_dp = 0.5 * delta * bs / (2.0 * hp)
-                dg_dc = delta * (bt_p * bc_ - bt_x * bs) + 2.0 * surf * bc_
-                res_edge.append(res_b)
+                dg_dc = delta * (t_p[rows[0]] * bc_ - bt_x * bs) + 2.0 * surf * bc_
                 planes += [dg_dx * xw[0] / (2.0 * hx) + dg_dc,
                            dg_dx * xw[1] / (2.0 * hx), dg_dx * xw[2] / (2.0 * hx),
                            dg_dp, -dg_dp]
-            rhs[self.edge] = np.concatenate(res_edge)[self.edge_src]
+            res_edge = np.concatenate([res_b for res_b, _, _ in robin])
+            rhs[self.edge] = res_edge[self.edge_src]
         data = np.concatenate([p.ravel() for p in planes])[self.src]
         jac = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                       shape=(self.n, self.n))
@@ -488,16 +452,17 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     # assemble, linear solve, line search; the pattern counts as assembly
     times = [time.perf_counter() - t0, 0.0, 0.0]
 
-    def residual_norm(th):
-        res, _ = _interior_residual(grid, th, delta)
+    alpha = bc.anchoring.alpha if bc.kind == "robin" else None
+
+    def evaluate(th):
+        """Residual of an iterate, and its max norm over the unknowns."""
+        r = _residual(grid, th, delta, alpha)
+        res, _, robin = r
         pieces = [np.abs(res[1:-1, :][active[1:-1, :]])]
-        if bc.kind == "robin":
-            for side, irow in (("inner", 0), ("outer", nr - 1)):
-                rb, _ = _robin_residual(grid, th, delta,
-                                        bc.anchoring.alpha, side)
-                pieces.append(np.abs(rb[active[irow, :]]))
+        for (rows, _), (res_b, _, _) in zip(_CIRCLES, robin):
+            pieces.append(np.abs(res_b[active[rows[0], :]]))
         vals = np.concatenate([p.ravel() for p in pieces])
-        return float(vals.max()) if vals.size else 0.0
+        return r, (float(vals.max()) if vals.size else 0.0)
 
     energy = _energy_arrays(grid, theta, delta, 1.0)
     history = [energy]
@@ -508,10 +473,10 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     slack = 0.1 * (grid.hx ** 2 + grid.hp ** 2) * (1.0 + abs(energy))
     damping_events = 0
     n_iter = 0
-    rnorm = residual_norm(theta)
+    r, rnorm = evaluate(theta)
     while rnorm > tol and n_iter < max_iter:
         t0 = time.perf_counter()
-        rhs, jac = system.assemble(theta, delta)
+        rhs, jac = system.assemble(r, delta)
         t1 = time.perf_counter()
         try:
             step = scipy.sparse.linalg.spsolve(jac, -rhs,
@@ -528,10 +493,10 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
                 trial = theta.copy()
                 trial.ravel()[system.order] += lam * step
                 e_try = _energy_arrays(grid, trial, delta, 1.0)
-                r_try = residual_norm(trial)
+                r_try, rnorm_try = evaluate(trial)
                 if e_try <= energy + slack \
-                        and (r_try < rnorm or e_try < energy - 1e-14):
-                    theta, energy, rnorm = trial, e_try, r_try
+                        and (rnorm_try < rnorm or e_try < energy - 1e-14):
+                    theta, energy, r, rnorm = trial, e_try, r_try, rnorm_try
                     history.append(energy)
                     accepted = True
                     break
@@ -544,12 +509,12 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
             tau = 0.2 * min(grid.hx, grid.hp) ** 2 / (1.0 + delta)
             improved = False
             for _ in range(60):
-                res, _ = _interior_residual(grid, theta, delta)
                 trial = theta.copy()
-                trial[active] += tau * res[active]
+                trial[active] += tau * r[0][active]     # interior residual
                 e_try = _energy_arrays(grid, trial, delta, 1.0)
                 if e_try <= energy + 1e-14:
                     theta, energy = trial, e_try
+                    r, rnorm = evaluate(theta)
                     history.append(energy)
                     improved = True
                 else:
@@ -557,7 +522,6 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
                     damping_events += 1
                     if tau < 1e-12:
                         break
-            rnorm = residual_norm(theta)
             if not improved:
                 report = SolveReport(n_iter, rnorm, damping_events, False,
                                      history, *times)

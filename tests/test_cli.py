@@ -149,8 +149,12 @@ class TestPdeSolve:
         ["--alpha", "-1"],
         ["--sector-n", "2", "--alpha", "1"],
         ["--sector-n", "0"],
+        ["--pin-eps", "0.1"],
+        ["--sector-n", "2", "--pin-eps", "-0.1"],
+        ["--sector-n", "2", "--pin-eps", "0"],
     ], ids=["singular_anisotropy", "coarse_grid", "negative_alpha",
-            "alpha_on_sector", "zero_sectors"])
+            "alpha_on_sector", "zero_sectors", "pin_on_annulus",
+            "negative_pin", "zero_pin"])
     def test_bad_input_is_config_error(self, runner, tmp_path, args):
         out = tmp_path / "fld.csv"
         res = runner.invoke(main, ["pde-solve", "--b", "0.3", "--delta", "0.5",
@@ -195,7 +199,8 @@ class TestBifurcation:
     @pytest.mark.parametrize("args", [
         ["--delta-min", "0.9", "--delta-max", "1.2", "--nr", "33"],
         ["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "8"],
-    ], ids=["singular_range", "coarse_grid"])
+        ["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "33", "--steps", "0"],
+    ], ids=["singular_range", "coarse_grid", "no_steps"])
     def test_bad_input_is_config_error(self, runner, tmp_path, args):
         out = tmp_path / "bf.csv"
         res = runner.invoke(main, ["bifurcation", "--b", "0.2", "--steps", "4",
@@ -254,12 +259,22 @@ class TestLdgCommands:
         assert res.exit_code == 2, res.output
 
     def test_solver_failure_exit_code(self, runner, tmp_path):
-        # the divided-difference noise floor defeats the residual tolerance
-        # on an absurdly fine grid: reported as a solver failure
-        res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "0",
-                                   "--n-nodes", "20001",
+        # a 1/sqrt(t) boundary layer far below the grid spacing defeats
+        # Newton: reported as a solver failure
+        res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "1e9",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 3
+
+    def test_linear_profile_stops_at_round_off_floor(self, runner, tmp_path):
+        # at t=0 the initial guess is the exact profile; its second-difference
+        # residual sits at the rounding floor, above the plain tolerance
+        out = tmp_path / "lp.csv"
+        res = runner.invoke(main, ["ldg-profile", "--b", "0.9", "--t", "0",
+                                   "--kind", "s", "--n-nodes", "1601",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        _, _, data = read_table(str(out))
+        assert data.shape == (1601, 2)
 
 
 class TestDeterminism:

@@ -13,8 +13,9 @@ from annulus_nematics.numerics import NewtonDiverged
 from annulus_nematics.of_weak import AnchoringParams, delta_weak
 from annulus_nematics.pde import (
     _NewtonSystem,
-    _interior_residual,
-    _robin_residual,
+    _derivative_fields,
+    _padded,
+    _residual,
     BoundaryConditions,
     DirectorField,
     PolarGrid,
@@ -49,6 +50,13 @@ class TestGrids:
         x = np.log(grid.r_nodes)
         assert np.allclose(np.diff(x), x[1] - x[0])
         assert abs(grid.phi_nodes[-1] - 2.0 * math.pi / 3) < 1e-14
+
+    @pytest.mark.parametrize("eps_core", [0.0, -0.1])
+    def test_pin_radius_must_be_positive(self, eps_core):
+        # a negative radius used to pin the cores of its absolute value
+        grid = PolarGrid.sector(0.3, 2, 33, 33)
+        with pytest.raises(ValueError, match="positive"):
+            corner_pin_mask(grid, eps_core)
 
 
 class TestFixedPoint:
@@ -287,11 +295,123 @@ class TestAnisotropicEnergy:
         assert energies["U2"] == min(energies.values())
 
 
+TWO_PI = 2.0 * math.pi
+
+
+def reference_roll_phi(arr, shift):
+    """Reference: azimuthal neighbour by np.roll, 2*pi added across the seam."""
+    out = np.roll(arr, shift, axis=1)
+    if shift == -1:
+        out[:, -1] += TWO_PI
+    else:
+        out[:, 0] -= TWO_PI
+    return out
+
+
+def reference_derivative_fields(grid, theta):
+    """Reference: central differences from eight hand-shifted copies."""
+    hx, hp = grid.hx, grid.hp
+    if grid.periodic:
+        tn = reference_roll_phi(theta, -1)
+        ts = reference_roll_phi(theta, 1)
+    else:
+        tn = np.empty_like(theta)
+        ts = np.empty_like(theta)
+        tn[:, :-1] = theta[:, 1:]
+        tn[:, -1] = theta[:, -1]
+        ts[:, 1:] = theta[:, :-1]
+        ts[:, 0] = theta[:, 0]
+    te = np.empty_like(theta)
+    tw = np.empty_like(theta)
+    te[:-1, :] = theta[1:, :]
+    te[-1, :] = theta[-1, :]
+    tw[1:, :] = theta[:-1, :]
+    tw[0, :] = theta[0, :]
+    t_x = (te - tw) / (2.0 * hx)
+    t_p = (tn - ts) / (2.0 * hp)
+    t_xx = (te - 2.0 * theta + tw) / hx ** 2
+    t_pp = (tn - 2.0 * theta + ts) / hp ** 2
+    if grid.periodic:
+        tne = reference_roll_phi(te, -1)
+        tse = reference_roll_phi(te, 1)
+        tnw = reference_roll_phi(tw, -1)
+        tsw = reference_roll_phi(tw, 1)
+    else:
+        tne = np.empty_like(theta)
+        tse = np.empty_like(theta)
+        tnw = np.empty_like(theta)
+        tsw = np.empty_like(theta)
+        tne[:, :-1] = te[:, 1:]
+        tne[:, -1] = te[:, -1]
+        tse[:, 1:] = te[:, :-1]
+        tse[:, 0] = te[:, 0]
+        tnw[:, :-1] = tw[:, 1:]
+        tnw[:, -1] = tw[:, -1]
+        tsw[:, 1:] = tw[:, :-1]
+        tsw[:, 0] = tw[:, 0]
+    t_xp = (tne - tse - tnw + tsw) / (4.0 * hx * hp)
+    return t_x, t_p, t_xx, t_pp, t_xp
+
+
+def reference_interior_residual(grid, theta, delta):
+    """Reference: pointwise residual from the hand-shifted derivative fields."""
+    _, pp = grid.mesh()
+    t_x, t_p, t_xx, t_pp, t_xp = reference_derivative_fields(grid, theta)
+    big = 2.0 * theta - 2.0 * pp
+    s, c = np.sin(big), np.cos(big)
+    beta = 2.0 * t_xp + t_p ** 2 - t_x ** 2 - 2.0 * t_p
+    gamma = t_xx - 2.0 * t_x - t_pp + 2.0 * t_x * t_p
+    res = (1.0 - 0.5 * delta) * (t_xx + t_pp) + 0.5 * delta * (s * beta + c * gamma)
+    return res, (t_x, t_p, s, c, beta, gamma)
+
+
+def reference_robin_residual(grid, theta, delta, alpha, side):
+    """Reference: weak-anchoring row with the azimuthal difference by np.roll."""
+    hx = grid.hx
+    if side == "outer":
+        t_x = (3.0 * theta[-1] - 4.0 * theta[-2] + theta[-3]) / (2.0 * hx)
+        row = theta[-1]
+        surf = -0.5 * alpha
+    else:
+        t_x = (-3.0 * theta[0] + 4.0 * theta[1] - theta[2]) / (2.0 * hx)
+        row = theta[0]
+        surf = 0.5 * alpha * grid.b
+    row2 = row[None, :]
+    t_p = (reference_roll_phi(row2, -1) - reference_roll_phi(row2, 1))[0] \
+        / (2.0 * grid.hp)
+    big = 2.0 * row - 2.0 * grid.phi_nodes
+    s, c = np.sin(big), np.cos(big)
+    res = 0.5 * (2.0 - delta) * t_x + 0.5 * delta * (t_p * s + t_x * c) + surf * s
+    return res, (t_x, t_p, s, c)
+
+
+def reference_energy(grid, theta, delta, k3):
+    """Reference: cell-midpoint energy with the seam closed by concatenation."""
+    xx, pp = grid.mesh()
+    if grid.periodic:
+        th = np.concatenate([theta, theta[:, :1] + TWO_PI], axis=1)
+        ph = np.concatenate([pp, pp[:, :1] + TWO_PI], axis=1)
+    else:
+        th, ph = theta, pp
+    hx, hp = grid.hx, grid.hp
+    t_x = (th[1:, 1:] + th[1:, :-1] - th[:-1, 1:] - th[:-1, :-1]) / (2.0 * hx)
+    t_p = (th[1:, 1:] - th[1:, :-1] + th[:-1, 1:] - th[:-1, :-1]) / (2.0 * hp)
+    t_c = 0.25 * (th[1:, 1:] + th[1:, :-1] + th[:-1, 1:] + th[:-1, :-1])
+    p_c = 0.25 * (ph[1:, 1:] + ph[1:, :-1] + ph[:-1, 1:] + ph[:-1, :-1])
+    diff = t_c - p_c
+    splay = np.cos(diff) * t_p - np.sin(diff) * t_x
+    bend = np.sin(diff) * t_p + np.cos(diff) * t_x
+    k1 = (1.0 - delta) * k3
+    dens = 0.5 * k1 * splay ** 2 + 0.5 * k3 * bend ** 2
+    return float(np.sum(dens)) * hx * hp
+
+
 def reference_assembly(grid, theta, delta, bc, active):
     """Reference: COO assembly of the Newton system in row-major numbering.
 
     Builds every stencil and Robin entry from 8-neighbour index tables and
-    lets scipy sum and sort them into CSR.
+    lets scipy sum and sort them into CSR.  The residual fields come from
+    the reference hand-shifted stencil, not from the code under test.
     """
     nr, nphi = grid.nr, grid.nphi
     hx, hp = grid.hx, grid.hp
@@ -307,7 +427,8 @@ def reference_assembly(grid, theta, delta, bc, active):
               "s": (ii, jm), "ne": (ipl, jp), "nw": (imn, jp),
               "se": (ipl, jm), "sw": (imn, jm)}
 
-    res_grid, (t_x, t_p, s, c, beta, gamma) = _interior_residual(grid, theta, delta)
+    res_grid, (t_x, t_p, s, c, beta, gamma) = reference_interior_residual(grid, theta,
+                                                                         delta)
     a_coef = 1.0 - 0.5 * delta
     d_xx = a_coef + 0.5 * delta * c
     d_pp = a_coef - 0.5 * delta * c
@@ -344,8 +465,8 @@ def reference_assembly(grid, theta, delta, bc, active):
     if bc.kind == "robin":
         alpha = bc.anchoring.alpha
         for side, irows in (("inner", (0, 1, 2)), ("outer", (nr - 1, nr - 2, nr - 3))):
-            res_b, (bt_x, bt_p, bs, bc_) = _robin_residual(grid, theta, delta,
-                                                           alpha, side)
+            res_b, (bt_x, bt_p, bs, bc_) = reference_robin_residual(grid, theta, delta,
+                                                                    alpha, side)
             surf = -0.5 * alpha if side == "outer" else 0.5 * alpha * grid.b
             xw = (3.0, -4.0, 1.0) if side == "outer" else (-3.0, 4.0, -1.0)
             dg_dx = 0.5 * (2.0 - delta) + 0.5 * delta * bc_
@@ -406,6 +527,89 @@ def newton_cases():
     ]
 
 
+def assemble(system, theta, delta):
+    """Newton system at theta, from one residual evaluation."""
+    bc = system.bc
+    alpha = bc.anchoring.alpha if bc.kind == "robin" else None
+    return system.assemble(_residual(system.grid, theta, delta, alpha), delta)
+
+
+@pytest.mark.parametrize("name, grid, bc, states, delta", newton_cases(),
+                         ids=[c[0] for c in newton_cases()])
+class TestPaddedStencil:
+    """The one ghost-padded stencil against the hand-shifted references."""
+
+    def test_derivative_fields_match_reference(self, name, grid, bc, states,
+                                               delta):
+        for theta in states:
+            fields = _derivative_fields(grid, _padded(grid, theta))
+            ref = reference_derivative_fields(grid, theta)
+            for got, want in zip(fields, ref):
+                assert np.array_equal(got, want)
+
+    def test_interior_residual_matches_reference(self, name, grid, bc, states,
+                                                 delta):
+        for theta in states:
+            res, terms, robin = _residual(grid, theta, delta)
+            ref, ref_terms = reference_interior_residual(grid, theta, delta)
+            assert np.array_equal(res, ref)
+            for got, want in zip(terms, ref_terms):
+                assert np.array_equal(got, want)
+            assert robin == []
+
+    def test_energy_matches_reference(self, name, grid, bc, states, delta):
+        for theta in states:
+            fld = DirectorField(grid, theta, bc)
+            assert of_energy_2d(fld, delta, k3=1.3) \
+                == reference_energy(grid, theta, delta, 1.3)
+
+
+@pytest.mark.parametrize("name, grid, bc, states, delta",
+                         [c for c in newton_cases() if c[1].periodic],
+                         ids=[c[0] for c in newton_cases() if c[1].periodic])
+def test_robin_rows_match_reference(name, grid, bc, states, delta):
+    # weak anchoring is only offered on the full annulus
+    for theta in states:
+        _, _, robin = _residual(grid, theta, delta, 0.7)
+        for side, (res_b, bt_x, _) in zip(("inner", "outer"), robin):
+            ref, (ref_x, _, _, _) = reference_robin_residual(grid, theta, delta,
+                                                             0.7, side)
+            assert np.array_equal(res_b, ref)
+            assert np.array_equal(bt_x, ref_x)
+
+
+def test_relaxation_fallback_matches_reference():
+    # from this rough start the first Newton step is rejected at every
+    # damping, so the iteration falls back to relaxation sweeps
+    grid = PolarGrid.sector(0.5, 4, 65, 65)
+    bc = BoundaryConditions(pin_mask=corner_pin_mask(grid, 0.08))
+    active = active_nodes(grid, bc)
+    theta = sector_state_field(grid, state_coefficients("U2", 4)).theta
+    theta[active] += 0.8 * np.random.default_rng(0).standard_normal(int(active.sum()))
+    delta = 0.9
+    with pytest.raises(NewtonDiverged) as info:
+        solve_el(grid, delta, bc, DirectorField(grid, theta, bc), max_iter=1)
+    rep = info.value.history[0]
+    # reference sweeps, each along the residual of the current iterate
+    energy = reference_energy(grid, theta, delta, 1.0)
+    history = [energy]
+    tau = 0.2 * min(grid.hx, grid.hp) ** 2 / (1.0 + delta)
+    for _ in range(60):
+        res, _ = reference_interior_residual(grid, theta, delta)
+        trial = theta.copy()
+        trial[active] += tau * res[active]
+        e_try = reference_energy(grid, trial, delta, 1.0)
+        if e_try <= energy + 1e-14:
+            theta, energy = trial, e_try
+            history.append(energy)
+        else:
+            tau *= 0.5
+    assert len(history) > 2
+    assert rep.energy_history == history
+    res, _ = reference_interior_residual(grid, theta, delta)
+    assert rep.final_residual == float(np.max(np.abs(res[active])))
+
+
 @pytest.mark.parametrize("name, grid, bc, states, delta", newton_cases(),
                          ids=[c[0] for c in newton_cases()])
 class TestNewtonSystem:
@@ -432,7 +636,7 @@ class TestNewtonSystem:
         assert np.all(coord[:n_lo] < mid)
         assert np.all(coord[n_lo:n_lo + n_hi] > mid)
         assert np.all(coord[n_lo + n_hi:] == mid)
-        _, jac = system.assemble(states[0], delta)
+        _, jac = assemble(system, states[0], delta)
         assert jac[:n_lo, n_lo:n_lo + n_hi].nnz == 0
         assert jac[n_lo:n_lo + n_hi, :n_lo].nnz == 0
 
@@ -444,7 +648,7 @@ class TestNewtonSystem:
         rank[np.flatnonzero(active)] = np.arange(system.n)
         row_major = rank[system.order]
         for theta in states:
-            rhs, jac = system.assemble(theta, delta)
+            rhs, jac = assemble(system, theta, delta)
             ref_rhs, ref_jac = reference_assembly(grid, theta, delta, bc, active)
             ref = ref_jac[row_major][:, row_major]
             ref.sort_indices()
@@ -456,7 +660,7 @@ class TestNewtonSystem:
     def test_ordered_step_matches_plain_solve(self, name, grid, bc, states, delta):
         active = active_nodes(grid, bc)
         system = _NewtonSystem(grid, bc, active)
-        rhs, jac = system.assemble(states[0], delta)
+        rhs, jac = assemble(system, states[0], delta)
         step = scipy.sparse.linalg.spsolve(jac, -rhs, permc_spec=system.permc_spec)
         ref_rhs, ref_jac = reference_assembly(grid, states[0], delta, bc, active)
         ref_step = np.zeros(grid.nr * grid.nphi)
