@@ -370,6 +370,8 @@ def total_energy(kind: str, N: int, b: float, eps: float, K: float = 1.0) -> flo
     """
     if not 0.0 < eps < b / 4.0:
         raise ValueError("core radius must lie in (0, b/4)")
+    if not K > 0.0:
+        raise ValueError("elastic constant K must be positive")
     return K * math.pi * (math.log(1.0 / eps) + normalized_energy(kind, N, b))
 
 

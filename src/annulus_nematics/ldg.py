@@ -19,7 +19,6 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .numerics import GridFunction, NewtonDiverged, min_eigenvalue, solve_bvp
-from .of_strong import RadialProfile
 
 
 def _spline_derivative(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -49,7 +48,7 @@ class OrderProfile:
     """Radial order parameter: either the s-profile or the u-profile."""
 
     kind: str
-    profile: RadialProfile
+    profile: GridFunction
     params: LdGParams
     b: float
 
@@ -126,8 +125,7 @@ def solve_s(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
         raise ValueError("b must lie in (0,1)")
     sol = _solve_profile(b, params.t, n_nodes, SQRT_HALF, SQRT_HALF,
                          s_profile_zero_t)
-    return OrderProfile("s_profile", RadialProfile("r", sol.nodes, sol.values),
-                        params, b)
+    return OrderProfile("s_profile", sol, params, b)
 
 
 def solve_u(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
@@ -136,8 +134,7 @@ def solve_u(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
         raise ValueError("b must lie in (0,1)")
     sol = _solve_profile(b, params.t, n_nodes, 0.0, SQRT_HALF,
                          u_profile_zero_t)
-    return OrderProfile("u_profile", RadialProfile("r", sol.nodes, sol.values),
-                        params, b)
+    return OrderProfile("u_profile", sol, params, b)
 
 
 def ldg_energy(profile: OrderProfile) -> float:
@@ -151,15 +148,15 @@ def ldg_energy(profile: OrderProfile) -> float:
     return 2.0 * math.pi * float(simpson(dens, x=r))
 
 
-def _check_component(p: RadialProfile, r: np.ndarray):
-    if p.variable != "r" or p.nodes.shape != r.shape or not np.allclose(p.nodes, r):
+def _check_component(p: GridFunction, r: np.ndarray):
+    if p.nodes.shape != r.shape or not np.allclose(p.nodes, r):
         raise GridMismatch("component profile grid differs from the s-grid")
     if abs(p.values[0]) > 1e-9 or abs(p.values[-1]) > 1e-9:
         raise ValueError("perturbation components must vanish at the endpoints")
 
 
-def Ln_value(n: int, a: RadialProfile, b_fn: RadialProfile, c: RadialProfile,
-             d: RadialProfile, s: OrderProfile) -> float:
+def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
+             d: GridFunction, s: OrderProfile) -> float:
     """Quadratic form of the n-th azimuthal block at a given perturbation.
 
     Integrates gradient, centrifugal, cross-coupling 8n(ad - bc)/r^2 and

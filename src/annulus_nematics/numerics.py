@@ -223,7 +223,8 @@ def solve_bvp(ode_rhs: Callable,
     Raises
     ------
     NewtonDiverged
-        If the residual stalls; the exception carries the damping history.
+        If the residual stalls or is not finite; the exception carries the
+        damping history.
     """
     if n_nodes < 16:
         raise ValueError("n_nodes must be at least 16")
@@ -271,6 +272,8 @@ def solve_bvp(ode_rhs: Callable,
         ab[0, 1:] = upper[:-1]
         ab[1, :] = diag
         ab[2, :-1] = lower[1:]
+        if not (math.isfinite(rnorm) and np.isfinite(ab).all()):
+            raise NewtonDiverged("non-finite residual or Jacobian", history)
         step = scipy.linalg.solve_banded((1, 1), ab, -res)
         lam = 1.0
         while lam >= 1e-12:

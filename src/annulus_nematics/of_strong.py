@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .numerics import Bracket, find_root
+from .numerics import Bracket, GridFunction, find_root
 
 _GL64 = np.polynomial.legendre.leggauss(64)
 
@@ -72,25 +72,6 @@ class ElasticParams:
 
 
 @dataclass
-class RadialProfile:
-    """Scalar profile sampled either in r on [b,1] or in t = -log r."""
-
-    variable: str
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.variable not in ("r", "t"):
-            raise ValueError("variable must be 'r' or 't'")
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes/values must be 1-D arrays of equal length")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-
-
-@dataclass
 class SpiralState:
     """Spiral deformation theta = phi + pi/2 + U with maximum offset u_max.
 
@@ -100,7 +81,7 @@ class SpiralState:
     geometry: AnnulusGeometry
     delta: float
     u_max: float
-    profile: RadialProfile
+    profile: GridFunction
 
 
 def defect_free_energy(geometry: AnnulusGeometry, elastic: ElasticParams) -> float:
@@ -128,15 +109,13 @@ def eigenmode(b: float, n: int, r):
     return float(out) if out.ndim == 0 else out
 
 
-def second_variation_radial(eta: RadialProfile, delta: float, b: float) -> float:
+def second_variation_radial(eta: GridFunction, delta: float, b: float) -> float:
     """Second variation 2*pi*int_b^1 [eta'^2 - delta*(eta/r + eta')^2] r dr.
 
     Phi-independent perturbations, K3 factored out.  ``eta`` must vanish at
     both endpoints and be sampled in r on [b, 1]; the derivative is taken
     by second-order differences on the given nodes.
     """
-    if eta.variable != "r":
-        raise ValueError("perturbation must be sampled in r")
     r, v = eta.nodes, eta.values
     if abs(r[0] - b) > 1e-12 or abs(r[-1] - 1.0) > 1e-12:
         raise ValueError("profile nodes must span [b, 1]")
@@ -242,7 +221,7 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     values[1:n_half + 1] = u_half
     values[n_half] = u_max
     values[n_half + 1:-1] = u_half[:-1][::-1]
-    profile = RadialProfile("t", t_nodes, values)
+    profile = GridFunction(t_nodes, values)
     return SpiralState(AnnulusGeometry(b), delta, u_max, profile)
 
 

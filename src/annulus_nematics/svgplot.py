@@ -58,10 +58,11 @@ def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "",
               ylabel: str = "", width: int = 640, height: int = 440) -> str:
     """Polyline chart of (x, y, label) triples on a fixed canvas."""
     margin = 52
-    xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    xs = np.array([x for s in series for x in s[0]], dtype=float)
+    ys = np.array([y for s in series for y in s[1]], dtype=float)
+    # with no point at all, draw the bare frame over [0, 1] on both axes
+    x_lo, x_hi = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
+    y_lo, y_hi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

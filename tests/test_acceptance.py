@@ -19,7 +19,7 @@ from annulus_nematics.of_strong import (
     ElasticParams,
 )
 from annulus_nematics.of_weak import AnchoringParams, delta_weak, weak_pitchfork_coeffs
-from annulus_nematics.of_strong import RadialProfile
+from annulus_nematics.numerics import GridFunction
 
 
 def report(num, title, started):
@@ -179,7 +179,7 @@ def test_criterion_7_ldg():
             coef = rng.standard_normal(6)
             v = sum(c * np.sin((j + 1) * np.pi * xi)
                     for j, c in enumerate(coef))
-            comps.append(RadialProfile("r", r, v))
+            comps.append(GridFunction(r, v))
         for n in (1, 2):
             gap = ldg.Ln_value(n + 2, *comps, s_state) \
                 - ldg.Ln_value(n, *comps, s_state)

@@ -69,6 +69,30 @@ class TestStabilityWeak:
                 assert np.all(data[:, 1] < 1.0)
             assert np.all((0 < data[:, 0]) & (data[:, 0] < 1))
 
+    @pytest.mark.parametrize("args", [["--steps", "0"],
+                                      ["--alpha-min", "nan"],
+                                      ["--alpha-max", "inf"]],
+                             ids=["no_steps", "nan_alpha", "inf_alpha"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args):
+        prefix = str(tmp_path / "sw")
+        res = runner.invoke(main, ["stability-weak", "--b", "0.5", "--k", "1",
+                                   *args, "--out-prefix", prefix])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "sw_k1.csv").exists()
+
+    def test_svg_without_points_draws_empty_frame(self, runner, tmp_path):
+        # order 3 has no critical anisotropy for alpha in [2, 3]
+        prefix = str(tmp_path / "sw")
+        svg = tmp_path / "sw.svg"
+        res = runner.invoke(main, ["stability-weak", "--b", "0.5", "--k", "3",
+                                   "--alpha-min", "2", "--alpha-max", "3",
+                                   "--steps", "5", "--out-prefix", prefix,
+                                   "--svg", str(svg)])
+        assert res.exit_code == 0, res.output
+        assert read_table(f"{prefix}_k3.csv")[2].size == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and "<polyline" not in text
+
 
 class TestSpiral:
     def test_profile_roundtrip(self, runner, tmp_path):
@@ -111,7 +135,9 @@ class TestDefectStates:
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("args", [["--b", "1.5", "--eps", "0.01"],
-                                      ["--b", "0.5", "--n-max", "0"]])
+                                      ["--b", "0.5", "--n-max", "0"],
+                                      ["--b", "0.5", "--k3", "-1"],
+                                      ["--b", "0.5", "--k3", "0"]])
     def test_out_of_domain_is_config_error(self, runner, tmp_path, args):
         out = tmp_path / "ds.csv"
         res = runner.invoke(main, ["defect-states", *args, "--out", str(out)])
@@ -265,6 +291,22 @@ class TestLdgCommands:
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 3
 
+    def test_infinite_t_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "lp.csv"
+        res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "inf",
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_overflowing_t_is_solver_failure(self, runner, tmp_path):
+        # t e^{2x} y (2y^2 - 1) overflows: a non-finite Newton system
+        out = tmp_path / "lp.csv"
+        res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "1e308",
+                                   "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "error" in json.loads(res.stderr.splitlines()[-1])
+        assert not out.exists()
+
     def test_linear_profile_stops_at_round_off_floor(self, runner, tmp_path):
         # at t=0 the initial guess is the exact profile; its second-difference
         # residual sits at the rounding floor, above the plain tolerance
@@ -329,6 +371,69 @@ class TestConfigHandling:
         _, _, data = read_table(str(out))
         assert data.shape[0] == 7           # flag wins
         assert data[0, 0] == 0.2            # config wins over default
+
+    @staticmethod
+    def run_with_config(runner, tmp_path, command, cfg, *args):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, **cfg}))
+        return runner.invoke(main, [command, "--config", str(path), *args])
+
+    def test_config_values_are_converted_like_flags(self, runner, tmp_path):
+        out = tmp_path / "ss.csv"
+        res = self.run_with_config(runner, tmp_path, "stability-strong",
+                                   {"steps": "10", "b_min": "0.2"},
+                                   "--out", str(out))
+        assert res.exit_code == 0, res.output
+        _, _, data = read_table(str(out))
+        assert data.shape == (10, 2) and data[0, 0] == 0.2
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("stability-strong", {"b_min": None}),
+        ("defect-states", {"b": None}),
+        ("stability-strong", {"fmt": "xml"}),
+        ("stability-strong", {"steps": "ten"}),
+        ("stability-strong", {"steps": 2.5}),
+        ("stability-strong", {"b_max": float("nan")}),
+        ("stability-strong", {"b_min": [0.1]}),
+        ("stability-strong", {"svg_path": True}),
+    ], ids=["null", "null_required", "bad_choice", "bad_int",
+            "fractional_int", "nan", "list", "bool"])
+    def test_bad_value_is_config_error(self, runner, tmp_path, command, cfg):
+        out = tmp_path / "table.csv"
+        res = self.run_with_config(runner, tmp_path, command, cfg,
+                                   "--out", str(out))
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_config_supplies_required_option(self, runner, tmp_path):
+        out = tmp_path / "ds.csv"
+        res = self.run_with_config(runner, tmp_path, "defect-states",
+                                   {"b": 0.5, "n_max": 2}, "--out", str(out))
+        assert res.exit_code == 0, res.output
+        comment, _, data = read_table(str(out))
+        assert "b=0.5 " in comment and data.shape == (2, 5)
+
+    def test_config_and_flags_write_identical_files(self, runner, tmp_path):
+        values = {"b": 0.45, "ks": "0,2", "alpha_min": 0.1, "alpha_max": 2.5,
+                  "steps": 17, "fmt": "json"}
+        flags = ["--b", "0.45", "--k", "0,2", "--alpha-min", "0.1",
+                 "--alpha-max", "2.5", "--steps", "17", "--format", "json"]
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "flag").mkdir()
+        res = self.run_with_config(
+            runner, tmp_path, "stability-weak",
+            {**values, "out_prefix": str(tmp_path / "cfg" / "sw"),
+             "svg_path": str(tmp_path / "cfg" / "sw.svg")})
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["stability-weak", *flags, "--out-prefix",
+                                   str(tmp_path / "flag" / "sw"), "--svg",
+                                   str(tmp_path / "flag" / "sw.svg")])
+        assert res.exit_code == 0, res.output
+        names = sorted(p.name for p in (tmp_path / "cfg").iterdir())
+        assert names == ["sw.svg", "sw_k0.csv", "sw_k2.csv"]
+        for name in names:
+            assert ((tmp_path / "cfg" / name).read_bytes()
+                    == (tmp_path / "flag" / name).read_bytes())
 
     def test_bad_schema_version(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

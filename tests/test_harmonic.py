@@ -410,6 +410,11 @@ class TestTotalEnergy:
         closed = total_energy("U2", N, b, eps, K=2.0)
         assert abs(closed - 2.0 * oracle) < 0.01 * abs(closed)
 
+    @pytest.mark.parametrize("K", [0.0, -1.0])
+    def test_rejects_nonpositive_elastic_constant(self, K):
+        with pytest.raises(ValueError, match="K must be positive"):
+            total_energy("U2", 2, 0.5, 0.01, K=K)
+
 
 class TestEnergyOracle:
     def test_all_kinds_within_one_percent(self):

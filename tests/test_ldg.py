@@ -21,7 +21,7 @@ from annulus_nematics.ldg import (
     stability_threshold,
     u_profile_zero_t,
 )
-from annulus_nematics.of_strong import RadialProfile
+from annulus_nematics.numerics import GridFunction
 
 
 def dense_min_eig_Ln(n, b, params, n_nodes):
@@ -62,14 +62,14 @@ def dense_min_eig_Ln(n, b, params, n_nodes):
 
 def analytic_s_state(b, n=20001, t=0.0):
     r = np.linspace(b, 1.0, n)
-    return OrderProfile("s_profile", RadialProfile("r", r, s_profile_zero_t(b, r)),
+    return OrderProfile("s_profile", GridFunction(r, s_profile_zero_t(b, r)),
                         LdGParams(t), b)
 
 
 def sine_profile(r, b, coefs):
     xi = (r - b) / (1.0 - b)
     v = sum(c * np.sin((j + 1) * np.pi * xi) for j, c in enumerate(coefs))
-    return RadialProfile("r", r, v)
+    return GridFunction(r, v)
 
 
 class TestSolveS:
@@ -124,7 +124,7 @@ class TestEnergy:
     def test_solution_beats_constant_trial(self):
         b, t = 0.5, 20.0
         r = np.linspace(b, 1.0, 2001)
-        trial = OrderProfile("s_profile", RadialProfile("r", r, np.full_like(r, SQRT_HALF)),
+        trial = OrderProfile("s_profile", GridFunction(r, np.full_like(r, SQRT_HALF)),
                              LdGParams(t), b)
         e_trial = ldg_energy(trial)
         # constant order: only the bending term 4 s^2 / r^2 survives
@@ -151,7 +151,7 @@ class TestEnergy:
 class TestLnValue:
     def test_zero_components(self):
         s = analytic_s_state(0.5)
-        zero = RadialProfile("r", s.profile.nodes, np.zeros_like(s.profile.nodes))
+        zero = GridFunction(s.profile.nodes, np.zeros_like(s.profile.nodes))
         assert Ln_value(1, zero, zero, zero, zero, s) == 0.0
 
     def test_block_monotonicity_on_quadruples(self):
@@ -174,9 +174,9 @@ class TestLnValue:
         xi = (r - b) / (1.0 - b)
         a_raw = np.sin(np.pi * xi)
         c_raw = np.sin(2.0 * np.pi * xi) + 0.3 * np.sin(np.pi * xi)
-        zero = RadialProfile("r", r, np.zeros_like(r))
-        a0 = RadialProfile("r", r, sv * a_raw)
-        c0 = RadialProfile("r", r, sv * c_raw)
+        zero = GridFunction(r, np.zeros_like(r))
+        a0 = GridFunction(r, sv * a_raw)
+        c0 = GridFunction(r, sv * c_raw)
         lhs = Ln_value(0, a0, zero, c0, zero, s)
         ap = np.pi / (1.0 - b) * np.cos(np.pi * xi)
         cp = (2.0 * np.pi * np.cos(2.0 * np.pi * xi)
@@ -187,8 +187,8 @@ class TestLnValue:
     def test_grid_mismatch(self):
         s = analytic_s_state(0.5, n=101)
         other = np.linspace(0.5, 1.0, 99)
-        bad = RadialProfile("r", other, np.zeros_like(other))
-        good = RadialProfile("r", s.profile.nodes, np.zeros_like(s.profile.nodes))
+        bad = GridFunction(other, np.zeros_like(other))
+        good = GridFunction(s.profile.nodes, np.zeros_like(s.profile.nodes))
         with pytest.raises(GridMismatch):
             Ln_value(0, bad, good, good, good, s)
 

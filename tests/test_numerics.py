@@ -122,6 +122,11 @@ class TestSolveBvp:
             solve_bvp(rhs, 0.0, 5.0, (0.0, 1.0), 32, max_iter=12)
         assert isinstance(err.value.history, list)
 
+    def test_non_finite_residual_raises(self):
+        rhs = lambda x, y, yp: np.full_like(y, np.nan)
+        with pytest.raises(NewtonDiverged, match="non-finite"):
+            solve_bvp(rhs, 0.0, 1.0, (0.0, 1.0), 32)
+
 
 class TestMinEigenvalue:
     def test_dirichlet_laplacian(self):

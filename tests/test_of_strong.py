@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulus_nematics.numerics import GridFunction
 from annulus_nematics.of_strong import (
     AnnulusGeometry,
     DomainError,
     ElasticParams,
     NoSpiralBranch,
-    RadialProfile,
     SubcriticalInput,
     defect_free_energy,
     delta1_stability_coefficient,
@@ -25,7 +25,7 @@ from annulus_nematics.of_strong import (
 
 def radial_eigenprofile(b, n=1, n_nodes=200_001):
     r = np.linspace(b, 1.0, n_nodes)
-    return RadialProfile("r", r, eigenmode(b, n, r))
+    return GridFunction(r, eigenmode(b, n, r))
 
 
 class TestClosedForms:
@@ -110,7 +110,7 @@ class TestSecondVariation:
         for _ in range(12):
             coef = rng.standard_normal(6)
             v = sum(c * np.sin((j + 1) * math.pi * s) for j, c in enumerate(coef))
-            assert second_variation_radial(RadialProfile("r", r, v), d, b) > 0.0
+            assert second_variation_radial(GridFunction(r, v), d, b) > 0.0
 
 
 class TestPitchfork:
@@ -186,7 +186,7 @@ class TestSpiral:
 def zero_offset_state(b, t):
     from annulus_nematics.of_strong import SpiralState
     return SpiralState(AnnulusGeometry(b), 0.9, 0.0,
-                       RadialProfile("t", t, np.zeros_like(t)))
+                       GridFunction(t, np.zeros_like(t)))
 
 
 class TestSpiralEnergy:
@@ -232,9 +232,9 @@ class TestGeometryTypes:
 
     def test_radial_profile_validation(self):
         with pytest.raises(ValueError):
-            RadialProfile("q", np.array([0.0, 1.0]), np.zeros(2))
+            GridFunction(np.array([0.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            RadialProfile("r", np.array([1.0, 0.5]), np.zeros(2))
+            GridFunction(np.array([1.0, 0.5]), np.zeros(2))
 
 
 class TestStabilityCoefficient:
