@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .numerics import GridFunction, NewtonDiverged, min_eigenvalue, solve_bvp
 
 
 def _spline_derivative(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Fourth-order derivative of sampled values (not-a-knot cubic spline)."""
+    from scipy.interpolate import CubicSpline
     return CubicSpline(r, v).derivative()(r)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -114,6 +113,17 @@ def _solve_profile(b: float, t: float, n_nodes: int, left: float, right: float,
     return GridFunction(np.exp(sol.nodes), sol.values)
 
 
+def _solved_profile(kind: str, sol: GridFunction, params: LdGParams,
+                    b: float) -> OrderProfile:
+    """A BVP solution outside the bounds the maximum principle guarantees
+    is a solver failure, not a caller error."""
+    try:
+        return OrderProfile(kind, sol, params, b)
+    except ValueError as exc:
+        raise NewtonDiverged("BVP solution breaks the maximum principle: "
+                             f"{exc}") from exc
+
+
 def solve_s(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
     """Order parameter with both circles pinned at 1/sqrt(2).
 
@@ -125,7 +135,7 @@ def solve_s(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
         raise ValueError("b must lie in (0,1)")
     sol = _solve_profile(b, params.t, n_nodes, SQRT_HALF, SQRT_HALF,
                          s_profile_zero_t)
-    return OrderProfile("s_profile", sol, params, b)
+    return _solved_profile("s_profile", sol, params, b)
 
 
 def solve_u(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
@@ -134,11 +144,12 @@ def solve_u(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
         raise ValueError("b must lie in (0,1)")
     sol = _solve_profile(b, params.t, n_nodes, 0.0, SQRT_HALF,
                          u_profile_zero_t)
-    return OrderProfile("u_profile", sol, params, b)
+    return _solved_profile("u_profile", sol, params, b)
 
 
 def ldg_energy(profile: OrderProfile) -> float:
     """Free energy 2 pi int (s'^2 + 4 s^2/r^2 + (t/4)(2s^2-1)^2) r dr."""
+    from scipy.integrate import simpson
     r = profile.profile.nodes
     s = profile.profile.values
     sp = _spline_derivative(r, s)
@@ -166,6 +177,7 @@ def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
     """
     if n < 0:
         raise ValueError("block index must be nonnegative")
+    from scipy.integrate import simpson
     r = s.profile.nodes
     for p in (a, b_fn, c, d):
         _check_component(p, r)

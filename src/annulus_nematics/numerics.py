@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 class NoSignChange(ValueError):
@@ -228,6 +227,7 @@ def solve_bvp(ode_rhs: Callable,
     """
     if n_nodes < 16:
         raise ValueError("n_nodes must be at least 16")
+    import scipy.linalg
     a, b = interval
     x = np.linspace(a, b, n_nodes)
     h = x[1] - x[0]
@@ -262,8 +262,10 @@ def solve_bvp(ode_rhs: Callable,
         d1 = (y[2:] - y[:-2]) / (2.0 * h)
         ey = 1e-7 * (1.0 + np.abs(yi))
         ep = 1e-7 * (1.0 + np.abs(d1))
-        f_y = (ode_rhs(xi, yi + ey, d1) - ode_rhs(xi, yi - ey, d1)) / (2.0 * ey)
-        f_p = (ode_rhs(xi, yi, d1 + ep) - ode_rhs(xi, yi, d1 - ep)) / (2.0 * ep)
+        # an overflowing quotient is caught by the non-finite guard below
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_y = (ode_rhs(xi, yi + ey, d1) - ode_rhs(xi, yi - ey, d1)) / (2.0 * ey)
+            f_p = (ode_rhs(xi, yi, d1 + ep) - ode_rhs(xi, yi, d1 - ep)) / (2.0 * ep)
         # tridiagonal Jacobian of the interior residual
         diag = -2.0 / h ** 2 - f_y
         upper = 1.0 / h ** 2 - f_p / (2.0 * h)
@@ -310,6 +312,7 @@ def min_eigenvalue(band: np.ndarray, mass: np.ndarray) -> float:
         raise ValueError("band and mass dimensions disagree")
     if np.any(mass <= 0):
         raise ValueError("mass must be strictly positive")
+    import scipy.linalg
     scale = 1.0 / np.sqrt(mass)
     for k in range(band.shape[0]):
         band[k, :n - k] *= scale[k:] * scale[:n - k]

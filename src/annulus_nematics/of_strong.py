@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .numerics import Bracket, GridFunction, find_root
 
@@ -253,6 +252,7 @@ def spiral_energy(state: SpiralState, elastic: ElasticParams) -> float:
     with p = sin U, g = cos U, so the defect-free value pi*K3*log(1/b) is
     recovered at U = 0 and 2*pi*K3*(1-b)/(1+b) at delta = 1.
     """
+    from scipy.integrate import simpson
     t, u = state.profile.nodes, state.profile.values
     p = np.sin(u)
     g = np.cos(u)

@@ -53,6 +53,15 @@ class StabilityCurve:
             raise ValueError("critical anisotropies must lie in (0,1)")
 
 
+def _square(alpha: float) -> float:
+    """alpha ** 2, or inf above 1.3e154 where it overflows; the formulas
+    below then take their strong-anchoring limits."""
+    try:
+        return alpha ** 2
+    except OverflowError:
+        return math.inf
+
+
 def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     """Residual of the Robin compatibility condition at order k.
 
@@ -65,16 +74,17 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     if alpha <= 0.0 or not 0.0 < b < 1.0:
         raise ValueError("alpha must be positive and b in (0,1)")
     length = math.log(1.0 / b)
+    alpha_sq = _square(alpha)
     if k == 0:
         tau = math.sqrt(delta / (1.0 - delta)) * length
         if abs(math.remainder(tau - 0.5 * math.pi, math.pi)) < 1e-9:
             raise PoleProximity(f"tangent argument {tau} within 1e-9 of a pole")
-        den = alpha * delta - alpha * b * delta + alpha ** 2 * b - delta
+        den = alpha * delta - alpha * b * delta + alpha_sq * b - delta
         if den == 0.0:
             raise PoleProximity("rational term pole")
         return math.tan(tau) + alpha * (1.0 + b) * math.sqrt(delta * (1.0 - delta)) / den
     nu = math.sqrt((k * k - delta) / (1.0 - delta))
-    den = delta * alpha + alpha ** 2 * b - alpha * b * delta - delta \
+    den = delta * alpha + alpha_sq * b - alpha * b * delta - delta \
         + k * k * (1.0 - delta)
     if den == 0.0:
         raise PoleProximity("rational term pole")
@@ -97,7 +107,7 @@ def _k0_pole_partition(alpha: float, b: float):
             break
     coef = 1.0 + alpha * b - alpha
     if coef != 0.0:
-        d_rat = alpha ** 2 * b / coef
+        d_rat = _square(alpha) * b / coef
         if 0.0 < d_rat < 1.0:
             edges.append(d_rat)
     return sorted(set(edges))
@@ -147,14 +157,15 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
         return _smallest_root_in_cells(
             lambda d: compat_residual(d, alpha, b, 0), edges)
     if k == 1:
-        num = alpha * b ** 2 + alpha ** 2 * b + alpha + 1.0 - b ** 2 * alpha ** 2 - b
+        alpha_sq = _square(alpha)
+        num = alpha * b ** 2 + alpha_sq * b + alpha + 1.0 - b ** 2 * alpha_sq - b
         den = alpha * b - b + 1.0
         d11 = 0.5 * num / den
         return d11 if 0.0 < d11 < 1.0 else None
     # k >= 2: the rational denominator is linear in delta, positive at 0;
     # a root needs it negative, which pins the root above its zero
     coef = alpha - alpha * b - 1.0 - k * k
-    d_zero = -(alpha ** 2 * b + k * k) / coef if coef != 0.0 else math.inf
+    d_zero = -(_square(alpha) * b + k * k) / coef if coef != 0.0 else math.inf
     if not 0.0 < d_zero < 1.0:
         return None
     edges = [d_zero, 1.0]

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .numerics import NewtonDiverged, min_eigenvalue
 from .of_weak import AnchoringParams
@@ -164,7 +162,8 @@ def corner_pin_mask(grid: PolarGrid, eps_core: float) -> np.ndarray:
     xx, pp = grid.mesh()
     mask = np.zeros(xx.shape, dtype=bool)
     for (cx, cp, rho) in _corner_disks(grid, eps_core):
-        mask |= (xx - cx) ** 2 + (pp - cp) ** 2 < rho ** 2
+        # rho * rho saturates to inf where rho ** 2 would raise
+        mask |= (xx - cx) ** 2 + (pp - cp) ** 2 < rho * rho
     return mask
 
 
@@ -413,6 +412,7 @@ class _NewtonSystem:
                            dg_dp, -dg_dp]
             res_edge = np.concatenate([res_b for res_b, _, _ in robin])
             rhs[self.edge] = res_edge[self.edge_src]
+        import scipy.sparse
         data = np.concatenate([p.ravel() for p in planes])[self.src]
         jac = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                       shape=(self.n, self.n))
@@ -435,6 +435,7 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
                                  "validated range")
     if bc.kind == "robin" and not grid.periodic:
         raise ValueError("weak anchoring is only offered on the full annulus")
+    import scipy.sparse.linalg   # before the phase timers start
     theta = init.theta.copy()
     nr, nphi = grid.nr, grid.nphi
 

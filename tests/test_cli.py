@@ -1,15 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import annulus_nematics
 from annulus_nematics.cli import fmt17, load_field_csv, main, read_table
 from annulus_nematics.of_strong import delta_n
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(annulus_nematics.__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -79,6 +84,17 @@ class TestStabilityWeak:
                                    *args, "--out-prefix", prefix])
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "sw_k1.csv").exists()
+
+    def test_overflowing_alpha_squares(self, runner, tmp_path):
+        # alpha ** 2 overflows above 1.3e154; k=0 reaches the strong limit
+        prefix = str(tmp_path / "sw")
+        res = runner.invoke(main, ["stability-weak", "--b", "1e-9", "--k", "0,1",
+                                   "--alpha-min", "1e9", "--alpha-max", "1e300",
+                                   "--steps", "5", "--out-prefix", prefix])
+        assert res.exit_code == 0, res.output
+        _, _, data = read_table(f"{prefix}_k0.csv")
+        assert data.shape == (5, 3)
+        assert abs(data[-1, 0] - delta_n(1e-9, 1)) < 1e-12
 
     def test_svg_without_points_draws_empty_frame(self, runner, tmp_path):
         # order 3 has no critical anisotropy for alpha in [2, 3]
@@ -195,6 +211,16 @@ class TestPdeSolve:
                                    "--out", str(tmp_path / "missing" / "f.csv")])
         assert res.exit_code == 2, res.output
 
+    def test_core_radius_overflow(self, runner, tmp_path):
+        # eps / b = 1e300 squared overflows: every node lies inside a core
+        out = tmp_path / "fld.csv"
+        res = runner.invoke(main, ["pde-solve", "--b", "1e-300", "--delta", "0.99",
+                                   "--nr", "17", "--nphi", "17",
+                                   "--sector-n", "7", "--pin-eps", "1",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stderr.splitlines()[0])["iterations"] == 0
+
     def test_sector_solve(self, runner, tmp_path):
         out = tmp_path / "fld.csv"
         res = runner.invoke(main, ["pde-solve", "--b", "0.4", "--delta", "0.0",
@@ -304,7 +330,23 @@ class TestLdgCommands:
         res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "1e308",
                                    "--out", str(out)])
         assert res.exit_code == 3, res.output
-        assert "error" in json.loads(res.stderr.splitlines()[-1])
+        # no numpy warning ahead of the JSON line
+        (line,) = res.stderr.splitlines()
+        assert "error" in json.loads(line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["ldg-profile", "--n-nodes", "50"],
+        ["ldg-stability", "--n", "0", "--n-nodes", "16"],
+    ], ids=["profile", "stability"])
+    def test_profile_outside_maximum_principle_is_solver_failure(
+            self, runner, tmp_path, args):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [*args, "--b", "1e-9", "--t", "1e300",
+                                   "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        (line,) = res.stderr.splitlines()
+        assert "maximum principle" in json.loads(line)["error"]
         assert not out.exists()
 
     def test_linear_profile_stops_at_round_off_floor(self, runner, tmp_path):
@@ -457,3 +499,52 @@ def test_fmt17_roundtrips_doubles():
     rng = np.random.default_rng(1)
     for x in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
         assert float(fmt17(float(x))) == float(x)
+
+
+# Prints the scipy modules a fresh interpreter holds after running the CLI
+# with the given arguments (after only importing it, when there are none).
+_SCIPY_PROBE = """
+import json, sys
+from annulus_nematics.cli import main
+if sys.argv[1:]:
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_probes(tmp_path, *argvs):
+    """Run the probe once per argv, all at once, in fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                              cwd=tmp_path, env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in argvs]
+    loaded = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        loaded.append(json.loads(out.splitlines()[-1]))
+    return loaded
+
+
+class TestStartup:
+    """scipy is imported by the functions that call it, so the CLI and its
+    pure-numpy commands start without paying for it."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert _scipy_probes(tmp_path, []) == [[]]
+
+    def test_pure_numpy_commands_load_no_scipy(self, tmp_path):
+        loaded = _scipy_probes(
+            tmp_path,
+            ["stability-strong", "--steps", "5", "--out", "s.csv"],
+            ["stability-weak", "--b", "0.5", "--k", "0,1,2", "--steps", "3",
+             "--out-prefix", "w"],
+            ["spiral", "--b", "0.2", "--delta", "0.95", "--n-profile", "65",
+             "--out", "p.csv"],
+            ["defect-states", "--b", "0.5", "--n-max", "2", "--out", "d.csv"])
+        assert loaded == [[]] * 4

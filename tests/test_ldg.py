@@ -21,7 +21,7 @@ from annulus_nematics.ldg import (
     stability_threshold,
     u_profile_zero_t,
 )
-from annulus_nematics.numerics import GridFunction
+from annulus_nematics.numerics import GridFunction, NewtonDiverged
 
 
 def dense_min_eig_Ln(n, b, params, n_nodes):
@@ -103,6 +103,14 @@ class TestSolveS:
             prof = solve_s(b, LdGParams(t))
             bound = math.sqrt(2.0) * b / (b * b + 1.0)
             assert np.min(prof.profile.values) >= bound - 1e-7
+
+    def test_solution_outside_bounds_is_solver_failure(self):
+        # at t = 1e300 on 50 nodes Newton ends on a profile that leaves
+        # (0, 1/sqrt 2]; the same values built by a caller stay a ValueError
+        with pytest.raises(NewtonDiverged, match="maximum principle") as info:
+            solve_s(1e-9, LdGParams(1e300), n_nodes=50)
+        bad = info.value.__cause__
+        assert isinstance(bad, ValueError) and "(0, 1/sqrt(2)]" in str(bad)
 
 
 class TestSolveU:

@@ -119,6 +119,13 @@ class TestDeltaWeak:
         d = delta_weak(1e6, 0.5, 0)
         assert abs(d - delta_n(0.5, 1)) < 1e-4
 
+    def test_overflowing_alpha_squares_give_strong_limit(self):
+        # alpha ** 2 overflows above 1.3e154
+        for b in (1e-9, 0.5):
+            assert abs(delta_weak(1e300, b, 0) - delta_n(b, 1)) < 1e-12
+            for k in (1, 2):
+                assert delta_weak(1e300, b, k) is None
+
     def test_k0_matches_eigenvalue_oracle(self):
         for alpha, b in ((0.5, 0.5), (2.0, 0.4)):
             d = delta_weak(alpha, b, 0)

@@ -58,6 +58,11 @@ class TestGrids:
         with pytest.raises(ValueError, match="positive"):
             corner_pin_mask(grid, eps_core)
 
+    def test_overflowing_core_radius_pins_everything(self):
+        # the inner disk radius eps / b = 1e300 squares past the float range
+        grid = PolarGrid.sector(1e-300, 7, 17, 17)
+        assert corner_pin_mask(grid, 1.0).all()
+
 
 class TestFixedPoint:
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
