@@ -4,15 +4,19 @@ On the sector 0 <= phi <= 2*pi/N the director angle of an equilibrium with
 corner defects is harmonic, and splits into a rotation term a0*phi plus
 combinations of four canonical harmonic functions carrying unit or linear
 data on one circle and zero on the other three edges.  This module builds
-those states, sums their separated-variable series, evaluates the
-normalized energies in closed form, and cross-checks them with a direct
+those states, sums the canonical functions as reflection images, and
+evaluates the normalized energies in closed form.  Their four
+edge-interaction sums reduce to F(t) = sum_{m>=1} log(1 - e^{-2 pi m t}),
+the log of the Dedekind eta product at t = N*log(1/b)/(2*pi), which the
+eta transformation eta(-1/tau) = sqrt(-i tau) eta(tau) (T. M. Apostol,
+Modular Functions and Dirichlet Series in Number Theory, 2nd ed.,
+Thm 3.1) brings to a few terms at every b in (0,1).  A direct
 two-dimensional quadrature of the Dirichlet energy over the sector with
-the defect cores removed.
+the defect cores removed cross-checks the energies.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,36 +34,12 @@ class QuadratureBudget(RuntimeError):
     """Energy quadrature failed its self-consistency refinement check."""
 
 
-class SlowConvergence(UserWarning):
-    """Series truncation did not reach the requested tail bound."""
-
-
 def _check_sector(N: int, b: float) -> None:
     """Reject a sector count below 1 or a radius ratio outside (0,1)."""
     if N < 1:
         raise ValueError("sector count must be at least 1")
     if not 0.0 < b < 1.0:
         raise ValueError("radius ratio must lie in (0,1)")
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Number of series terms plus the guaranteed tail bound at mid-annulus."""
-
-    n_terms: int
-    tail_bound: float
-
-    @classmethod
-    def for_geometry(cls, N: int, b: float, tol: float = 1e-10) -> "SeriesTruncation":
-        """Pick n_terms so exp(-(N/2)*n*|log b|)/n drops below tol."""
-        _check_sector(N, b)
-        rate = 0.5 * N * abs(math.log(b))
-        n = 1
-        while math.exp(-rate * n) / n > tol:
-            n += 1
-            if n > 2_000_000:
-                raise ValueError("series truncation tolerance unreachable")
-        return cls(n_terms=n, tail_bound=math.exp(-rate * n) / n)
 
 
 @dataclass(frozen=True)
@@ -129,63 +109,10 @@ def state_coefficients(kind: str, N: int, full_annulus: bool = True) -> DefectSt
 
 
 # ---------------------------------------------------------------------------
-# canonical harmonic functions: separated-variable series
-
-
-def _series_terms(i: int, N: int, b: float, n: np.ndarray):
-    """Angular wavenumbers q and coefficients of the n-th series term."""
-    if i in (1, 3):
-        q = 0.5 * (2 * n - 1) * N
-        coef = 4.0 / ((2 * n - 1) * math.pi)
-    else:
-        q = 0.5 * n * N
-        coef = 4.0 * (-1.0) ** (n + 1) / (N * n)
-    return q, coef
-
-
-def canonical_f(i: int, N: int, b: float, r, phi,
-                trunc: Optional[SeriesTruncation] = None):
-    """Partial series sum of the i-th canonical harmonic function.
-
-    i = 1: data 1 on the outer circle; i = 2: data phi on the outer circle;
-    i = 3: data 1 on the inner circle; i = 4: data phi on the inner circle;
-    all vanish on the other three edges.  Emits :class:`SlowConvergence`
-    when the final retained term still exceeds the truncation tail bound,
-    which happens near the corners where the boundary data jumps.
-    """
-    if i not in (1, 2, 3, 4):
-        raise ValueError("canonical index must be 1..4")
-    _check_sector(N, b)
-    if trunc is None:
-        trunc = SeriesTruncation.for_geometry(N, b)
-    r_arr, phi_arr = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                         np.asarray(phi, dtype=float))
-    u = np.log(r_arr)
-    x = math.log(b)
-    n = np.arange(1, trunc.n_terms + 1)
-    q, coef = _series_terms(i, N, b, n)
-    qu = np.multiply.outer(u, q)
-    if i in (1, 2):
-        radial = (np.exp(np.multiply.outer(2.0 * x - u, q)) - np.exp(qu)) \
-            / np.expm1(2.0 * x * q)
-    else:
-        radial = (np.exp(np.multiply.outer(x - u, q))
-                  - np.exp(np.multiply.outer(x + u, q))) / (-np.expm1(2.0 * x * q))
-    angular = np.sin(np.multiply.outer(phi_arr, q))
-    terms = coef * angular * radial
-    out = terms.sum(axis=-1)
-    last = np.max(np.abs(terms[..., -1]))
-    if last > trunc.tail_bound * 1.001:
-        warnings.warn(f"series tail {last:.2e} above bound {trunc.tail_bound:.2e} "
-                      "(evaluation too close to a corner)", SlowConvergence,
-                      stacklevel=2)
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# exact evaluation by reflections: the angular series have closed forms,
-# and expanding the radial denominators geometrically turns each canonical
-# function into a fast image sum over reflected log-radii
+# canonical harmonic functions by reflections: the angular parts of their
+# separated-variable series have closed forms, and expanding the radial
+# denominators geometrically turns each function into a fast image sum
+# over reflected log-radii
 
 
 def _cexpm1(a, c):
@@ -219,8 +146,11 @@ def _kernel_linear(m: float, v, phi, grad: bool):
 def canonical_f_exact(i: int, N: int, b: float, r, phi):
     """Canonical harmonic function through the reflection representation.
 
-    Mathematically identical to the converged series but accurate at any
-    interior point, arbitrarily close to the boundary.
+    i = 1: data 1 on the outer circle; i = 2: data phi on the outer circle;
+    i = 3: data 1 on the inner circle; i = 4: data phi on the inner circle;
+    all vanish on the other three edges.  Mathematically identical to the
+    converged separated-variable series but accurate at any interior
+    point, arbitrarily close to the boundary.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("canonical index must be 1..4")
@@ -318,48 +248,77 @@ def director_gradient(spec: DefectStateSpec, b: float, r, phi):
 # closed-form energies
 
 
+# Each edge sum is a combination of F(x) = sum_{m>=1} log(1 - e^{-2 pi m x})
+# at x = s*t, t = N*log(1/b)/(2*pi): pairs (c, s) of sum c*F(s*t)
+_EDGE_SUMS = {1: ((16.0, 1.0), (-8.0, 2.0)),
+              2: ((-24.0, 1.0), (16.0, 0.5), (8.0, 2.0)),
+              3: ((16.0, 1.0),),
+              4: ((16.0, 0.5), (-16.0, 1.0))}
+
+
+def _log_eta(terms, t: float) -> float:
+    """Sum of c*F(s*t) over the pairs (c, s) in ``terms``.
+
+    Below x = 1 the eta transformation eta(-1/tau) = sqrt(-i tau) eta(tau)
+    gives F(x) = pi*x/12 - pi/(12*x) - log(x)/2 + F(1/x), so every F is
+    summed at an argument >= 1, where 8 terms reach round-off.  The
+    -pi/(12*x) parts grow like 1/t as b -> 1; their coefficients are added
+    exactly before one multiplication, so no two of them are subtracted.
+    """
+    pole = 0.0
+    total = 0.0
+    for c, s in terms:
+        x = s * t
+        if x < 1.0:
+            pole += c / s
+            total += c * (math.pi * x / 12.0 - 0.5 * math.log(x))
+            x = 1.0 / x
+        total += c * sum(math.log1p(-math.exp(-2.0 * math.pi * m * x))
+                         for m in range(1, 9))
+    return total - pole * math.pi / (12.0 * t)
+
+
 def series_s(i: int, N: int, b: float) -> float:
     """Edge-interaction sums entering the normalized energies.
 
-    Four exponentially convergent sums of coth/csch combinations; all are
-    negative for 0 < b < 1 and vanish as b -> 0.
+    The sums of coth/csch terms over the harmonics k are Lambert series in
+    p = b**N = e^{-2 pi t}.  Summing the inner geometric series leaves
+    F(t) = log (p; p)_inf, the log of the Dedekind eta product:
+    S1 = 16F(t) - 8F(2t), S2 = -8[3F(t) - 2F(t/2) - F(2t)], S3 = 16F(t),
+    S4 = 16[F(t/2) - F(t)].  F is evaluated through the eta transformation
+    (T. M. Apostol, Modular Functions and Dirichlet Series in Number
+    Theory, 2nd ed., Thm 3.1).  All are negative for 0 < b < 1 and vanish
+    as b -> 0.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("series index must be 1..4")
     _check_sector(N, b)
-    logb = math.log(b)
-    total = 0.0
-    for n in range(1, 400_000):
-        k = (2 * n - 1) if i in (1, 2) else n
-        x = 0.5 * N * k * logb
-        sh = math.sinh(x)
-        if i in (1, 3):
-            term = 8.0 * (math.exp(x) / sh) / k
-        else:
-            term = 8.0 / sh / k
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
+    return _log_eta(_EDGE_SUMS[i], -N * math.log(b) / (2.0 * math.pi))
+
+
+# (S1 + S4 - S2 - S3)/4 for U1 and U2, -(S1 + S2)/4 for U3, (S2 - S1)/4 for D
+_ENERGY_SUMS = {"U1": ((2.0, 1.0), (-4.0, 2.0)),
+                "U2": ((2.0, 1.0), (-4.0, 2.0)),
+                "U3": ((2.0, 1.0), (-4.0, 0.5)),
+                "D": ((-10.0, 1.0), (4.0, 0.5), (4.0, 2.0))}
 
 
 def normalized_energy(kind: str, N: int, b: float) -> float:
-    """Finite part of the one-constant energy after removing the core logs."""
+    """Finite part of the one-constant energy after removing the core logs.
+
+    The edge sums enter as 2F(t) - 4F(2t) for U1 and U2, 2F(t) - 4F(t/2)
+    for U3 and -10F(t) + 4F(t/2) + 4F(2t) for D.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}")
-    logb = math.log(b)
-    log_inv_b = -logb
+    _check_sector(N, b)
+    log_inv_b = -math.log(b)
+    edge = _log_eta(_ENERGY_SUMS[kind], N * log_inv_b / (2.0 * math.pi))
     if kind in ("U1", "U2"):
-        s_combo = (series_s(1, N, b) + series_s(4, N, b)
-                   - series_s(2, N, b) - series_s(3, N, b)) / 4.0
         sign = 1.0 if kind == "U1" else -1.0
         rot = (N + sign * 2) ** 2 / (4.0 * N)
-        return s_combo + rot * log_inv_b + 0.5 * math.log(b / N ** 2)
-    if kind == "U3":
-        s_combo = -(series_s(1, N, b) + series_s(2, N, b)) / 4.0
-    else:  # D
-        s_combo = (series_s(2, N, b) - series_s(1, N, b)) / 4.0
-    return s_combo + log_inv_b / N + 0.5 * math.log(16.0 * b / N ** 2)
+        return edge + rot * log_inv_b + 0.5 * math.log(b / N ** 2)
+    return edge + log_inv_b / N + 0.5 * math.log(16.0 * b / N ** 2)
 
 
 def total_energy(kind: str, N: int, b: float, eps: float, K: float = 1.0) -> float:

@@ -82,12 +82,18 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
         den = alpha * delta - alpha * b * delta + alpha_sq * b - delta
         if den == 0.0:
             raise PoleProximity("rational term pole")
+        if den == math.inf:
+            # alpha ** 2 overflowed: the rational term is of order 1/alpha,
+            # and alpha * (1 + b) in it may overflow too
+            return math.tan(tau)
         return math.tan(tau) + alpha * (1.0 + b) * math.sqrt(delta * (1.0 - delta)) / den
     nu = math.sqrt((k * k - delta) / (1.0 - delta))
     den = delta * alpha + alpha_sq * b - alpha * b * delta - delta \
         + k * k * (1.0 - delta)
     if den == 0.0:
         raise PoleProximity("rational term pole")
+    if den == math.inf:
+        return math.tanh(nu * length)
     return math.tanh(nu * length) + (1.0 - delta) * alpha * (1.0 + b) / den * nu
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,18 @@ class TestStabilityWeak:
         assert data.shape == (5, 3)
         assert abs(data[-1, 0] - delta_n(1e-9, 1)) < 1e-12
 
+    def test_largest_alpha_reaches_strong_limit(self, runner, tmp_path):
+        # alpha * (1 + b) overflows in the k=0 rational term at the top
+        prefix = str(tmp_path / "sw")
+        res = runner.invoke(main, ["stability-weak", "--b", "1e-9", "--k", "0",
+                                   "--alpha-min", "1e308",
+                                   "--alpha-max", "1.7976931348623157e308",
+                                   "--steps", "3", "--out-prefix", prefix])
+        assert res.exit_code == 0, res.output
+        _, _, data = read_table(f"{prefix}_k0.csv")
+        assert data.shape == (3, 3)
+        assert np.all(np.abs(data[:, 0] - delta_n(1e-9, 1)) < 1e-12)
+
     def test_svg_without_points_draws_empty_frame(self, runner, tmp_path):
         # order 3 has no critical anisotropy for alpha in [2, 3]
         prefix = str(tmp_path / "sw")
@@ -144,6 +157,23 @@ class TestDefectStates:
         assert np.all(np.isnan(odd[:, 3])) and np.all(np.isnan(odd[:, 4]))
         even = data[data[:, 0] % 2 == 0]
         assert np.all(np.isfinite(even[:, 1:]))
+
+    def test_radius_ratio_near_one(self, runner, tmp_path):
+        out = tmp_path / "ds.csv"
+        start = time.perf_counter()
+        res = runner.invoke(main, ["defect-states", "--b", "0.999999", "--n-max",
+                                   "10", "--eps", "0.002", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert res.exit_code == 0, res.output
+        assert elapsed < 1.0
+        _, _, data = read_table(str(out))
+        assert np.all(np.isfinite(data[:, 1:3]))
+        assert np.all(np.isfinite(data[1::2, 3:]))
+        # finite part of U1 at N=2: 2F(t) - 4F(2t) + 2 log(1/b) + log(b/4)/2
+        # at t = log(1/b)/pi, b the double nearest 0.999999, evaluated with
+        # 60-digit Dedekind eta products: -14.26709176322426492739...
+        ref = math.pi * (math.log(1.0 / 0.002) - 14.267091763224265)
+        assert abs(data[1, 1] - ref) <= 1e-12 * abs(ref)
 
     def test_bad_eps_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["defect-states", "--b", "0.5", "--eps",

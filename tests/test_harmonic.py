@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annulus_nematics.harmonic import (
+    KINDS,
     DefectStateSpec,
     InvalidTiling,
-    SeriesTruncation,
-    SlowConvergence,
-    canonical_f,
     canonical_f_exact,
     crossover_N,
     _gauss_panel,
     _images,
     _kernel_linear,
     _kernel_odd,
+    _log_eta,
     _oracle_level,
     director,
     director_gradient,
@@ -31,6 +31,49 @@ def stencil_laplacian(fn, u0, p0, h=5e-4):
     c = fn(math.exp(u0), p0)
     return (fn(math.exp(u0 + h), p0) + fn(math.exp(u0 - h), p0)
             + fn(math.exp(u0), p0 + h) + fn(math.exp(u0), p0 - h) - 4.0 * c) / h ** 2
+
+
+def reference_canonical_f(i, N, b, r, phi, n_terms):
+    """First n_terms terms of the separated-variable series of the i-th
+    canonical harmonic function.
+
+    i = 1: data 1 on the outer circle; i = 2: data phi on the outer circle;
+    i = 3: data 1 on the inner circle; i = 4: data phi on the inner circle;
+    all vanish on the other three edges.
+    """
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(phi, dtype=float))
+    u = np.log(r)
+    x = math.log(b)
+    n = np.arange(1, n_terms + 1)
+    if i in (1, 3):
+        q = 0.5 * (2 * n - 1) * N
+        coef = 4.0 / ((2 * n - 1) * math.pi)
+    else:
+        q = 0.5 * n * N
+        coef = 4.0 * (-1.0) ** (n + 1) / (N * n)
+    qu = np.multiply.outer(u, q)
+    if i in (1, 2):
+        radial = (np.exp(np.multiply.outer(2.0 * x - u, q)) - np.exp(qu)) \
+            / np.expm1(2.0 * x * q)
+    else:
+        radial = (np.exp(np.multiply.outer(x - u, q))
+                  - np.exp(np.multiply.outer(x + u, q))) / (-np.expm1(2.0 * x * q))
+    out = (coef * np.sin(np.multiply.outer(phi, q)) * radial).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_series_s(i, N, b, n_terms):
+    """First n_terms terms of the coth/csch sums over the harmonics k
+    (odd k only for i = 1, 2)."""
+    n = np.arange(1, n_terms + 1)
+    k = (2 * n - 1) if i in (1, 2) else n
+    x = 0.5 * N * k * math.log(b)
+    if i in (1, 3):
+        terms = 8.0 * (np.exp(x) / np.sinh(x)) / k
+    else:
+        terms = 8.0 / np.sinh(x) / k
+    return float(np.sum(terms[::-1]))
 
 
 def reference_images(N, b, u, phi, grad):
@@ -154,8 +197,8 @@ def sector_probe_points(N, b, rng, d=1e-6):
 class TestCanonicalFunctions:
     def test_vanishes_on_first_edge(self):
         # every series term carries sin(q*0) = 0
-        assert canonical_f(1, 4, 0.5, 0.7, 0.0) == 0.0
-        assert canonical_f(3, 3, 0.3, 0.6, 0.0) == 0.0
+        assert reference_canonical_f(1, 4, 0.5, 0.7, 0.0, 40) == 0.0
+        assert reference_canonical_f(3, 3, 0.3, 0.6, 0.0, 40) == 0.0
 
     def test_harmonic_by_stencil(self):
         N, b = 4, 0.5
@@ -175,19 +218,17 @@ class TestCanonicalFunctions:
 
     def test_harmonic_by_stencil_series_route(self):
         N, b = 4, 0.5
-        trunc = SeriesTruncation(n_terms=400, tail_bound=1e-100)
         lap = stencil_laplacian(
-            lambda r, p: canonical_f(1, N, b, r, p, trunc),
+            lambda r, p: reference_canonical_f(1, N, b, r, p, 400),
             0.5 * math.log(b), math.pi / N)
         assert abs(lap) < 1e-6
 
     def test_series_matches_exact_at_midline(self):
         N, b = 4, 0.5
-        trunc = SeriesTruncation(n_terms=600, tail_bound=1e-100)
         r = np.array([0.65, 0.707, 0.75])
         phi = np.array([0.4, 0.9, 1.3])
         for i in (1, 2, 3, 4):
-            s = canonical_f(i, N, b, r, phi, trunc)
+            s = reference_canonical_f(i, N, b, r, phi, 600)
             e = canonical_f_exact(i, N, b, r, phi)
             assert np.max(np.abs(s - e)) < 1e-11
 
@@ -195,9 +236,9 @@ class TestCanonicalFunctions:
         # f1 + f3 carries unit data on both circles; compare the dense
         # partial sums of the two separately computed series
         N, b = 2, 0.4
-        trunc = SeriesTruncation(n_terms=600, tail_bound=1e-100)
         r, phi = math.sqrt(b), math.pi / N
-        combo = canonical_f(1, N, b, r, phi, trunc) + canonical_f(3, N, b, r, phi, trunc)
+        combo = (reference_canonical_f(1, N, b, r, phi, 600)
+                 + reference_canonical_f(3, N, b, r, phi, 600))
         exact = canonical_f_exact(1, N, b, r, phi) + canonical_f_exact(3, N, b, r, phi)
         assert abs(combo - exact) < 1e-10
 
@@ -209,18 +250,6 @@ class TestCanonicalFunctions:
         assert abs(canonical_f_exact(3, N, b, b * (1 + 1e-8), phi) - 1.0) < 1e-5
         assert abs(canonical_f_exact(4, N, b, b * (1 + 1e-8), phi) - phi) < 1e-5
         assert abs(canonical_f_exact(1, N, b, b * (1 + 1e-8), phi)) < 1e-5
-
-    def test_slow_convergence_warning_near_corner(self):
-        N, b = 4, 0.5
-        trunc = SeriesTruncation.for_geometry(N, b)
-        with pytest.warns(SlowConvergence):
-            canonical_f(1, N, b, 0.999, 0.01, trunc)
-
-    def test_truncation_bound(self):
-        trunc = SeriesTruncation.for_geometry(4, 0.5)
-        assert trunc.tail_bound <= 1e-10
-        rate = 2.0 * abs(math.log(0.5))
-        assert math.exp(-rate * trunc.n_terms) / trunc.n_terms <= 1e-10
 
 
 class TestImageSums:
@@ -364,6 +393,56 @@ class TestSeriesS:
             assert abs(series_s(i, 2, 1e-8)) < abs(series_s(i, 2, 1e-3))
 
 
+    @pytest.mark.parametrize("b", [0.05, 0.3, 0.5, 0.9, 0.99])
+    def test_closed_form_matches_direct_sums(self, b):
+        for N in (1, 2, 4, 10):
+            # the last terms are below exp(-50) of the first
+            n_terms = int(100.0 / (N * abs(math.log(b)))) + 1
+            for i in (1, 2, 3, 4):
+                ref = reference_series_s(i, N, b, n_terms)
+                assert abs(series_s(i, N, b) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def F_derivative(t, n_terms=40):
+    """dF/dt of F(t) = sum log(1 - e^{-2 pi m t}), summed directly."""
+    m = np.arange(1, n_terms + 1)
+    p = np.exp(-2.0 * math.pi * m * t)
+    return float(np.sum(2.0 * math.pi * m * p / (1.0 - p)))
+
+
+class TestEtaClosedForm:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(b=st.one_of(st.floats(min_value=1e-300, max_value=1.0 - 2.0 ** -40),
+                       st.floats(min_value=2.0 ** -40, max_value=0.5).map(
+                           lambda e: 1.0 - e)),
+           N=st.integers(min_value=1, max_value=200))
+    def test_identities_hold_for_every_b(self, b, N):
+        e = {kind: normalized_energy(kind, N, b) for kind in KINDS}
+        assert all(math.isfinite(v) for v in e.values())
+        ref = 2.0 * math.log(1.0 / b)
+        assert abs(e["U1"] - e["U2"] - ref) <= 1e-12 * max(1.0, ref)
+        gap = e["U3"] - e["D"] + series_s(2, N, b) / 2.0
+        assert abs(gap) <= 1e-12 * max(1.0, abs(e["U3"]))
+
+    def test_continuous_across_transformation_switch(self):
+        # F is summed directly at t >= 1 and through the eta transformation
+        # below; the step over the switch is F' times its width
+        h = 1e-9
+        lo = _log_eta(((1.0, 1.0),), 1.0 - h)
+        hi = _log_eta(((1.0, 1.0),), 1.0 + h)
+        assert abs(hi - lo - 2.0 * h * F_derivative(1.0)) < 1e-14
+
+    def test_diagonal_state_averages_rotated_pair_as_b_to_one(self):
+        # as t -> 0 the 1/t and log t parts of D - (U1 + U2)/2 cancel in
+        # closed form and the pi*t/2 part cancels the rotation terms, so the
+        # difference vanishes to all orders
+        b = 1.0 - 2.0 ** -40
+        for N in (1, 2, 10):
+            gap = normalized_energy("D", N, b) - 0.5 * (
+                normalized_energy("U1", N, b) + normalized_energy("U2", N, b))
+            assert abs(gap) < 1e-12
+
+
 class TestNormalizedEnergy:
     def test_rotated_pair_identity(self):
         for N in (1, 2, 4, 7):
@@ -473,13 +552,11 @@ class TestDomain:
         lambda: normalized_energy("D", 4, 1.0),
         lambda: total_energy("U2", 4, 1.5, 0.01),
         lambda: crossover_N(1.5, 10),
-        lambda: SeriesTruncation.for_geometry(4, 1.5),
         lambda: canonical_f_exact(0, 4, 0.5, 0.7, 0.5),
         lambda: canonical_f_exact(5, 4, 0.5, 0.7, 0.5),
-        lambda: canonical_f(1, 4, 1.5, 0.7, 0.5, SeriesTruncation(40, 1e-10)),
     ], ids=["director", "director_gradient", "series_s", "normalized_energy",
-            "total_energy", "crossover_N", "truncation", "canonical_index_0",
-            "canonical_index_5", "canonical_f_explicit_truncation"])
+            "total_energy", "crossover_N", "canonical_index_0",
+            "canonical_index_5"])
     def test_rejects_out_of_domain(self, call):
         with pytest.raises(ValueError):
             call()
@@ -487,12 +564,10 @@ class TestDomain:
     @pytest.mark.parametrize("call", [
         lambda: canonical_f_exact(1, -2, 0.5, 0.7, 0.5),
         lambda: canonical_f_exact(1, 0, 0.5, 0.7, 0.5),
-        lambda: canonical_f(1, 0, 0.5, 0.7, 0.5),
         lambda: series_s(1, -2, 0.5),
         lambda: normalized_energy("U2", 0, 0.5),
-        lambda: SeriesTruncation.for_geometry(0, 0.5),
     ], ids=["canonical_f_exact_N_negative", "canonical_f_exact_N_zero",
-            "canonical_f", "series_s", "normalized_energy", "truncation"])
+            "series_s", "normalized_energy"])
     def test_rejects_sector_count_below_one(self, call):
         with pytest.raises(ValueError, match="sector count"):
             call()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +126,13 @@ class TestDeltaWeak:
             assert abs(delta_weak(1e300, b, 0) - delta_n(b, 1)) < 1e-12
             for k in (1, 2):
                 assert delta_weak(1e300, b, k) is None
+
+    def test_largest_alpha_gives_strong_limit(self):
+        # alpha * (1 + b) overflows as well as alpha ** 2
+        alpha = sys.float_info.max
+        for b in (1e-9, 0.5):
+            assert abs(delta_weak(alpha, b, 0) - delta_n(b, 1)) < 1e-12
+            assert math.isfinite(compat_residual(0.1, alpha, b, 1))
 
     def test_k0_matches_eigenvalue_oracle(self):
         for alpha, b in ((0.5, 0.5), (2.0, 0.4)):
