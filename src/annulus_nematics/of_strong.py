@@ -156,10 +156,12 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     The maximum offset u_max is pinned by requiring the turning-point
     integral to equal half of log(1/b); the root meets that only to its
     tolerance.  The profile is then recovered on a uniform t-grid by
-    bisecting the monotone half-branch against the integral u_max actually
+    inverting the monotone half-branch against the integral u_max actually
     attains, so U = 0 falls exactly on the pinned endpoint t = 0, and
-    mirrored about the midpoint.  Only the single-extremum branch is
-    computed; multi-extremum solutions exist but carry more energy.
+    mirrored about the midpoint.  Each node is found by a bracketed Illinois
+    secant in w = sqrt(u_max - U), where t(w) is smooth and monotone.  Only
+    the single-extremum branch is computed; multi-extremum solutions exist
+    but carry more energy.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("radius ratio must lie in (0,1)")
@@ -188,6 +190,9 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
         return half_integral(u0) - target
 
     lo = 1e-8
+    if residual(lo) > 0.0:
+        raise NoSpiralBranch(f"delta={delta} is within rounding of delta_1={d1!r}; "
+                             "the offset is below resolution")
     hi = None
     for k in range(1, 44):
         cand = 0.5 * math.pi * (1.0 - 2.0 ** (-k))
@@ -202,24 +207,43 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
 
     t_nodes = np.linspace(0.0, period, n_profile)
     n_half = n_profile // 2
-    t_half = t_nodes[1:n_half + 1]
-    u_lo = np.zeros_like(t_half)
-    u_hi = np.full_like(t_half, u_max * (1.0 - 1e-15))
-    for _ in range(80):
-        u_mid = 0.5 * (u_lo + u_hi)
-        t_mid = half - _tail_integral(u_mid, delta, u_max)
-        above = t_mid > t_half
-        # once no bracket moves, every later round repeats these midpoints
-        if np.array_equal(u_mid, np.where(above, u_hi, u_lo)):
-            break
-        u_hi = np.where(above, u_mid, u_hi)
-        u_lo = np.where(above, u_lo, u_mid)
-    u_half = 0.5 * (u_lo + u_hi)
+    t_half = t_nodes[1:n_half]
 
-    values = np.zeros(n_profile)
-    values[1:n_half + 1] = u_half
-    values[n_half] = u_max
-    values[n_half + 1:-1] = u_half[:-1][::-1]
+    def t_of(u):
+        # Rows go in blocks of four, padded: BLAS sums the rows past a batch's
+        # last whole block in another order, so this keeps each node's bits as
+        # the active set shrinks.  Chunks bound the 64-column work arrays.
+        out = np.concatenate([u, np.zeros(-u.size % 4)])
+        for i in range(0, out.size, 1024):
+            out[i:i + 1024] = _tail_integral(out[i:i + 1024], delta, u_max)
+        return half - out[:u.size]
+
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168) on f =
+    # t(u) - t_i, f(a) <= 0 < f(c), secant in w = sqrt(u_max - u); a node
+    # stops at a sign change between adjacent doubles, as bisection would.
+    a = np.zeros_like(t_half)
+    c = np.full_like(t_half, u_max * (1.0 - 1e-15))
+    fa, fc = -t_half, t_of(c) - t_half
+    moved = np.zeros(t_half.shape, dtype=np.int8)  # +1: c moved last, -1: a
+    act = np.arange(t_half.size)
+    while act.size:
+        ai, ci, fai, fci = a[act], c[act], fa[act], fc[act]
+        wa, wc = np.sqrt(u_max - ai), np.sqrt(u_max - ci)
+        w = (wa * fci - wc * fai) / (fci - fai)
+        x = u_max - w * w
+        x = np.where((x > ai) & (x < ci), x, 0.5 * (ai + ci))
+        fx = t_of(x) - t_half[act]
+        up = fx > 0.0
+        # the endpoint kept a second time in a row has its value halved
+        fa[act] = np.where(up, np.where(moved[act] == 1, 0.5 * fai, fai), fx)
+        fc[act] = np.where(up, fx, np.where(moved[act] == -1, 0.5 * fci, fci))
+        a[act], c[act] = np.where(up, ai, x), np.where(up, x, ci)
+        moved[act] = np.where(up, 1, -1)
+        mid = 0.5 * (a[act] + c[act])
+        act = act[(mid != a[act]) & (mid != c[act])]
+    u_half = 0.5 * (a + c)
+
+    values = np.concatenate([[0.0], u_half, [u_max], u_half[::-1], [0.0]])
     profile = GridFunction(t_nodes, values)
     return SpiralState(AnnulusGeometry(b), delta, u_max, profile)
 

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from annulus_nematics.numerics import GridFunction
+from annulus_nematics.numerics import Bracket, GridFunction, find_root
 from annulus_nematics.of_strong import (
     AnnulusGeometry,
     DomainError,
     ElasticParams,
     NoSpiralBranch,
     SubcriticalInput,
+    _tail_integral,
     defect_free_energy,
     delta1_stability_coefficient,
     delta_n,
@@ -26,6 +27,44 @@ from annulus_nematics.of_strong import (
 def radial_eigenprofile(b, n=1, n_nodes=200_001):
     r = np.linspace(b, 1.0, n_nodes)
     return GridFunction(r, eigenmode(b, n, r))
+
+
+def reference_spiral_half(delta, b, n_profile):
+    """u_max and the half-profile on nodes 1..n_profile//2 by whole-vector
+    bisection of t(U) = half - tail(U) against the uniform t-grid."""
+    period = math.log(1.0 / b)
+
+    def half_integral(u0):
+        return float(_tail_integral(np.zeros(1), delta, u0)[0])
+
+    lo, hi = 1e-8, None
+    for k in range(1, 44):
+        cand = 0.5 * math.pi * (1.0 - 2.0 ** (-k))
+        if half_integral(cand) - 0.5 * period > 0.0:
+            hi = cand
+            break
+        lo = cand
+    u_max = find_root(lambda u0: half_integral(u0) - 0.5 * period,
+                      Bracket(lo, hi), tol=1e-12)
+    half = half_integral(u_max)
+    t_half = np.linspace(0.0, period, n_profile)[1:n_profile // 2 + 1]
+    u_lo = np.zeros_like(t_half)
+    u_hi = np.full_like(t_half, u_max * (1.0 - 1e-15))
+    for _ in range(80):
+        u_mid = 0.5 * (u_lo + u_hi)
+        above = half - _tail_integral(u_mid, delta, u_max) > t_half
+        if np.array_equal(u_mid, np.where(above, u_hi, u_lo)):
+            break
+        u_hi = np.where(above, u_mid, u_hi)
+        u_lo = np.where(above, u_lo, u_mid)
+    return u_max, 0.5 * (u_lo + u_hi)
+
+
+@st.composite
+def spiral_inputs(draw):
+    b = draw(st.floats(1e-6, 0.999))
+    delta = draw(st.floats(delta_n(b, 1), 1.0, exclude_min=True))
+    return delta, b, 2 * draw(st.integers(1, 64)) + 1
 
 
 class TestClosedForms:
@@ -173,6 +212,41 @@ class TestSpiral:
         state = spiral_solve(0.85, 0.2, n_profile=16385)
         assert spiral_ode_residual(state) < 1e-6
 
+    @pytest.mark.parametrize("delta,b", [(0.85, 0.2), (0.99, 0.69)])
+    def test_ode_residual_at_rounding_floor(self, delta, b):
+        # Noise in U reaches the residual amplified by 1/h^2: stopping each
+        # node at |t(U) - t_i| <= 16 eps t(u_max) instead of adjacent doubles
+        # lifts it to 2e-7 at delta = 0.85, which the 1e-6 tests let pass.
+        state = spiral_solve(delta, b, n_profile=16385)
+        assert spiral_ode_residual(state) < 3e-8
+
+    @pytest.mark.parametrize("delta,b,n_profile", [
+        (0.95, 0.2, 4097), (0.85, 0.2, 4097), (1.0, 0.5, 4097),
+        (delta_n(0.2, 1) + 1e-4, 0.2, 513), (0.99, 0.69, 1025)])
+    def test_inversion_ends_on_adjacent_double_sign_change(self, delta, b, n_profile):
+        state = spiral_solve(delta, b, n_profile=n_profile)
+        ref_u_max, ref_half = reference_spiral_half(delta, b, n_profile)
+        assert state.u_max == ref_u_max
+        n_half = n_profile // 2
+        ref = np.concatenate([[0.0], ref_half[:-1], [ref_u_max], ref_half[-2::-1], [0.0]])
+        assert np.max(np.abs(state.profile.values - ref)) < 1e-13
+
+        half = _tail_integral(np.zeros(1), delta, state.u_max)[0]
+        t = state.profile.nodes[1:n_half]
+        u = state.profile.values[1:n_half]
+
+        def f(x):
+            # in whole blocks of four rows, as the solver evaluates it: BLAS
+            # sums the trailing rows of a batch in another order
+            x4 = np.concatenate([x, np.zeros(-x.size % 4)])
+            return half - _tail_integral(x4, delta, state.u_max)[:x.size] - t
+
+        above = f(u) > 0.0
+        other = np.where(above, np.nextafter(u, -np.inf), np.nextafter(u, np.inf))
+        f_lo = f(np.where(above, other, u))
+        f_hi = f(np.where(above, u, other))
+        assert np.all((f_lo <= 0.0) & (f_hi > 0.0))
+
     def test_ode_residual_at_delta_one(self):
         state = spiral_solve(1.0, 0.2, n_profile=8193)
         assert spiral_ode_residual(state, interior_margin=0.05) < 1e-6
@@ -181,6 +255,30 @@ class TestSpiral:
         b = 0.2
         with pytest.raises(NoSpiralBranch):
             spiral_solve(delta_n(b, 1) - 1e-6, b)
+
+    def test_no_branch_within_rounding_of_critical(self):
+        # the half-period integral at the lowest bracket end already
+        # reaches the target, so no offset is resolvable
+        b = 0.23166874668379783
+        with pytest.raises(NoSpiralBranch, match="below resolution") as exc:
+            spiral_solve(0.8218947974549444, b, n_profile=5)
+        assert repr(delta_n(b, 1)) in str(exc.value)
+
+    @given(spiral_inputs())
+    @example((0.8218947974549444, 0.23166874668379783, 5))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_profile_shape_or_no_branch(self, args):
+        delta, b, n_profile = args
+        try:
+            state = spiral_solve(delta, b, n_profile=n_profile)
+        except NoSpiralBranch:
+            return
+        v = state.profile.values
+        assert np.all(np.isfinite(v))
+        assert np.array_equal(v, v[::-1])
+        assert v[0] == 0.0 and v[-1] == 0.0
+        assert np.all(np.diff(v[:n_profile // 2 + 1]) >= 0.0)
+        assert np.max(v) == state.u_max
 
 
 def zero_offset_state(b, t):
