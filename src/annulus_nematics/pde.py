@@ -34,6 +34,17 @@ class SingularAnisotropy(ValueError):
 
 
 MAX_ANISOTROPY = 0.99
+# Newton budget of one continuation step in anisotropic_state_energy, and
+# the smallest step it tries, as a fraction of the target anisotropy
+CONTINUATION_ITER = 20
+CONTINUATION_MIN_STEP = 1.0 / 64.0
+
+
+def _check_anisotropy(delta: float) -> None:
+    # written so that nan fails it too
+    if not -math.inf < delta <= MAX_ANISOTROPY:
+        raise SingularAnisotropy(f"anisotropy {delta} is outside the validated "
+                                 f"range (finite, at most {MAX_ANISOTROPY})")
 
 
 @dataclass(frozen=True)
@@ -430,9 +441,7 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     when Newton cannot produce an acceptable step the solver falls back to
     damped relaxation sweeps before giving up.
     """
-    if delta > MAX_ANISOTROPY:
-        raise SingularAnisotropy(f"anisotropy above {MAX_ANISOTROPY} is out of "
-                                 "validated range")
+    _check_anisotropy(delta)
     if bc.kind == "robin" and not grid.periodic:
         raise ValueError("weak anchoring is only offered on the full annulus")
     import scipy.sparse.linalg   # before the phase timers start
@@ -533,7 +542,7 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     report = SolveReport(n_iter, rnorm, damping_events, converged, history,
                          *times)
     if not converged:
-        raise NewtonDiverged(f"no convergence after {max_iter} iterations "
+        raise NewtonDiverged(f"no convergence after {n_iter} iterations "
                              f"(residual {rnorm:.3e})", [report])
     return DirectorField(grid, theta, bc), report
 
@@ -550,9 +559,8 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
     the energy guard rejects; the scan then retries with the deviation
     amplified until the solve lands on the stable branch.
     """
-    if any(d > MAX_ANISOTROPY for d in delta_values):
-        raise SingularAnisotropy(f"anisotropy above {MAX_ANISOTROPY} is out of "
-                                 "validated range")
+    for d in delta_values:
+        _check_anisotropy(d)
     grid = PolarGrid.annulus(b, nr, nphi)
     xx, pp = grid.mesh()
     mode = np.sin(math.pi * xx / math.log(b))
@@ -610,7 +618,7 @@ def stability_probe(base: DirectorField, delta: float, b: float, k: int,
 def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
                              eps: float, nr: int = 129,
                              nphi: Optional[int] = None,
-                             k3: float = 1.0, delta_steps=None) -> float:
+                             k3: float = 1.0) -> float:
     """Total regularized energy of a sector defect state at anisotropy delta.
 
     Solves on a grid whose corner cores are pinned at a grid-resolvable
@@ -618,7 +626,17 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     coefficient (1 - 3*delta/4) evaluated at two core radii (which cancels
     the order-eps arc contribution), and transfers the logarithmic core
     term to the requested, typically much smaller, radius eps.
+
+    The solve goes straight to delta from the harmonic state.  A step that
+    fails within ``CONTINUATION_ITER`` Newton iterations is halved, and a
+    success doubles the next (Allgower and Georg, *Numerical Continuation
+    Methods*, 1990, ch. 2); below ``CONTINUATION_MIN_STEP`` it gives up.
     """
+    if not 0.0 < eps < b / 4.0:
+        raise ValueError("core radius must lie in (0, b/4)")
+    if not k3 > 0.0:
+        raise ValueError("elastic constant k3 must be positive")
+    _check_anisotropy(delta)
     from .harmonic import state_coefficients
     spec = state_coefficients(kind, N, full_annulus=False)
     span = 2.0 * math.pi / N
@@ -635,12 +653,24 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     fld = sector_state_field(grid, spec)
     pin = corner_pin_mask(grid, 0.5 * eps1)
     bc = BoundaryConditions(pin_mask=pin)
-    init = DirectorField(grid, fld.theta, bc)
-    if delta_steps is None:
-        delta_steps = [d for d in (0.3, 0.6, 0.8) if d < delta] + [delta]
-    current = init
-    for d in delta_steps:
-        current, _ = solve_el(grid, d, bc, current)
+    current = DirectorField(grid, fld.theta, bc)
+    # fractions of delta, reached and next tried: sums of powers of two
+    done, step, reports = 0.0, 1.0, []
+    while done < 1.0:
+        target = done + step
+        try:
+            current, rep = solve_el(grid, target * delta, bc, current,
+                                    max_iter=CONTINUATION_ITER)
+        except NewtonDiverged as exc:
+            reports += exc.history
+            step *= 0.5
+            if step < CONTINUATION_MIN_STEP:
+                raise NewtonDiverged(
+                    f"continuation stalled at delta={done * delta:.6g} on the "
+                    f"way to {delta:.6g}: {exc}", reports)
+            continue
+        reports.append(rep)
+        done, step = target, min(2.0 * step, 1.0 - target)
     core_coef = 1.0 - 0.75 * delta
     t1 = of_energy_2d(current, delta, k3, eps=eps1) / (k3 * math.pi) \
         - core_coef * math.log(1.0 / eps1)

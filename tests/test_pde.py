@@ -11,6 +11,7 @@ from annulus_nematics.harmonic import state_coefficients, total_energy
 from annulus_nematics.of_strong import delta_n, pitchfork_amplitude
 from annulus_nematics.numerics import NewtonDiverged
 from annulus_nematics.of_weak import AnchoringParams, delta_weak
+from annulus_nematics import pde
 from annulus_nematics.pde import (
     _NewtonSystem,
     _derivative_fields,
@@ -20,6 +21,7 @@ from annulus_nematics.pde import (
     DirectorField,
     PolarGrid,
     SingularAnisotropy,
+    SolveReport,
     anisotropic_state_energy,
     bifurcation_scan,
     corner_pin_mask,
@@ -87,6 +89,23 @@ class TestFixedPoint:
         fld = defect_free_field(grid)
         with pytest.raises(SingularAnisotropy):
             solve_el(grid, 0.995, BoundaryConditions(), fld)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anisotropy_rejected(self, delta):
+        # nan used to pass the range check and reach Newton
+        grid = PolarGrid.annulus(0.3, 48, 32)
+        fld = defect_free_field(grid)
+        with pytest.raises(SingularAnisotropy):
+            solve_el(grid, delta, BoundaryConditions(), fld)
+
+    def test_divergence_message_counts_iterations_run(self):
+        # a residual that overflows to nan stops Newton before its first step
+        grid = PolarGrid.annulus(0.3, 48, 32)
+        fld = defect_free_field(grid)
+        fld.theta += 1e200 * np.add.outer(np.arange(48), np.arange(32))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NewtonDiverged, match="after 0 iterations"):
+            solve_el(grid, 0.5, BoundaryConditions(), fld)
 
     def test_weak_anchoring_needs_annulus(self):
         grid = PolarGrid.sector(0.3, 2, 33, 33)
@@ -181,6 +200,10 @@ class TestBifurcation:
         pts = bifurcation_scan(b, [d1 + 0.01], 0.3)
         expect = pitchfork_amplitude(d1 + 0.01, b)
         assert abs(pts[0][1] - expect) < 0.1 * expect
+
+    def test_non_finite_anisotropy_rejected(self):
+        with pytest.raises(SingularAnisotropy):
+            bifurcation_scan(0.2, [0.5, math.nan], 0.3)
 
     def test_square_root_scaling(self):
         b = 0.2
@@ -286,18 +309,114 @@ class TestStabilityProbe:
             stability_probe(fld, 0.5, 0.5, 0)
 
 
+def reference_state_energy(b, N, kind, delta, eps, nr):
+    """Reference: the fixed continuation schedule (0.3, 0.6, 0.8, delta)."""
+    spec = state_coefficients(kind, N, full_annulus=False)
+    hx = math.log(1.0 / b) / (nr - 1)
+    nphi = int(np.clip(round(2.0 * math.pi / N / hx) + 1, 65, 769))
+    grid = PolarGrid.sector(b, N, nr, nphi)
+    eps1 = 5.0 * max(grid.hx, grid.hp)
+    bc = BoundaryConditions(pin_mask=corner_pin_mask(grid, 0.5 * eps1))
+    fld = DirectorField(grid, sector_state_field(grid, spec).theta, bc)
+    for d in [d for d in (0.3, 0.6, 0.8) if d < delta] + [delta]:
+        fld, _ = solve_el(grid, d, bc, fld)
+    core_coef = 1.0 - 0.75 * delta
+    finite = [of_energy_2d(fld, delta, eps=e) / math.pi
+              - core_coef * math.log(1.0 / e) for e in (eps1, 2.0 * eps1)]
+    return math.pi * (core_coef * math.log(1.0 / eps)
+                      + 2.0 * finite[0] - finite[1])
+
+
+STRONG = dict(b=0.3, N=2, delta=0.9, eps=0.002, nr=97)
+
+
+@pytest.fixture(scope="class")
+def strong_energies():
+    return {kind: anisotropic_state_energy(STRONG["b"], STRONG["N"], kind,
+                                           STRONG["delta"], STRONG["eps"],
+                                           nr=STRONG["nr"])
+            for kind in ("U1", "U2", "U3", "D")}
+
+
+def spy_on_solve_el(monkeypatch):
+    """Record (delta, report) of every solve_el attempt, failed ones too."""
+    real, attempts = pde.solve_el, []
+
+    def spy(grid, delta, bc, init, **kw):
+        try:
+            fld, rep = real(grid, delta, bc, init, **kw)
+        except NewtonDiverged as exc:
+            attempts.append((delta, exc.history[0]))
+            raise
+        attempts.append((delta, rep))
+        return fld, rep
+
+    monkeypatch.setattr(pde, "solve_el", spy)
+    return attempts
+
+
 class TestAnisotropicEnergy:
     def test_consistent_with_closed_form_at_zero(self):
         est = anisotropic_state_energy(0.25, 2, "U2", 0.0, eps=0.002)
         closed = total_energy("U2", 2, 0.25, 0.002, K=1.0)
         assert abs(est - closed) < 0.01 * closed
 
-    def test_u2_remains_minimal_under_anisotropy(self):
+    def test_u2_remains_minimal_under_anisotropy(self, strong_energies):
         # strong-anisotropy analogue of the two-sector energy table
-        b, N, eps = 0.3, 2, 0.002
-        energies = {kind: anisotropic_state_energy(b, N, kind, 0.9, eps, nr=97)
-                    for kind in ("U1", "U2", "U3", "D")}
-        assert energies["U2"] == min(energies.values())
+        assert strong_energies["U2"] == min(strong_energies.values())
+
+    @pytest.mark.parametrize("kind", ["U1", "U2", "U3", "D"])
+    def test_matches_fixed_schedule(self, strong_energies, kind):
+        ref = reference_state_energy(kind=kind, **STRONG)
+        assert abs(strong_energies[kind] - ref) <= 1e-10 * abs(ref)
+
+    def test_failed_full_step_is_halved(self, monkeypatch):
+        # Newton diverges straight at delta=0.99 from the harmonic U1 state
+        attempts = spy_on_solve_el(monkeypatch)
+        e = anisotropic_state_energy(0.27, 1, "U1", 0.99, 0.002, nr=97)
+        assert math.isfinite(e)
+        assert attempts[0][0] == 0.99 and not attempts[0][1].converged
+        assert any(rep.converged and d < 0.99 for d, rep in attempts)
+        assert attempts[-1][0] == 0.99 and attempts[-1][1].converged
+        assert all(rep.iterations <= pde.CONTINUATION_ITER
+                   for _, rep in attempts)
+
+    def test_gives_up_below_min_step(self, monkeypatch):
+        # a stub solver that fails above delta=0.3: the steps shrink toward
+        # 0.3 until the next would be below the floor
+        attempts = []
+
+        def stub(grid, delta, bc, init, **kw):
+            rep = SolveReport(1, 0.0, 0, delta <= 0.3)
+            attempts.append((delta, rep))
+            if not rep.converged:
+                raise NewtonDiverged("stub failure", [rep])
+            return init, rep
+
+        monkeypatch.setattr(pde, "solve_el", stub)
+        with pytest.raises(NewtonDiverged) as info:
+            anisotropic_state_energy(0.3, 2, "U2", 0.9, 0.002, nr=97)
+        assert len(info.value.history) == len(attempts)
+        assert all(a is b for a, (_, b) in zip(info.value.history, attempts))
+        reached = max(d for d, rep in attempts if rep.converged)
+        assert 0.3 - reached < 0.9 * pde.CONTINUATION_MIN_STEP
+        assert f"stalled at delta={reached:.6g} " in str(info.value)
+        assert math.isclose(attempts[-1][0] - reached,
+                            0.9 * pde.CONTINUATION_MIN_STEP, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(eps=-0.002), "core radius"),
+        (dict(eps=0.0), "core radius"),
+        (dict(eps=0.5), "core radius"),
+        (dict(k3=-1.0), "k3"),
+        (dict(delta=math.nan), "anisotropy"),
+    ], ids=["negative_eps", "zero_eps", "eps_past_quarter_b", "negative_k3",
+            "nan_delta"])
+    def test_out_of_domain_rejected(self, kwargs, match):
+        args = dict(b=0.3, N=2, kind="U2", delta=0.5, eps=0.002, nr=97)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            anisotropic_state_energy(**args)
 
 
 TWO_PI = 2.0 * math.pi
