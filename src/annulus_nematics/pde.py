@@ -308,6 +308,9 @@ _STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
 
 # largest box side that nested dissection numbers row by row
 DISSECTION_LEAF = 4
+# most nodes per ring for which the Dirichlet annulus is factored as a
+# band; on wider rings the band outgrows SuperLU's fill
+BAND_MAX_NPHI = 64
 
 
 def _dissection_order(nr: int, nphi: int) -> np.ndarray:
@@ -341,15 +344,20 @@ def _dissection_order(nr: int, nphi: int) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Numbering and sparsity pattern of the Newton system of one solve.
+    """Numbering, sparsity pattern and linear solver of one Newton system.
 
-    Both depend only on the grid and the active mask, so they are built
-    once.  Sector unknowns are numbered in nested-dissection order and
-    factored without column permutation; the periodic annulus, a thin
-    strip, keeps row-major numbering under minimum degree on A^T + A.
-    ``src`` maps the flat coefficient vector (9 stencil planes, then 5
-    Robin planes per circle) onto the CSR data, so a Newton step only
-    gathers values.
+    All three depend only on the grid, the edge conditions and the active
+    mask, so they are set up once.  Sector unknowns are numbered in
+    nested-dissection order and factored by SuperLU without column
+    permutation.  The annulus with Dirichlet circles and at most
+    ``BAND_MAX_NPHI`` nodes per ring is numbered ring by ring, each ring in
+    folded order (0, nphi-1, 1, nphi-2, ...) so that the seam neighbours
+    sit at most 2 apart, and factored by LAPACK ``gbsv`` with half-bandwidth
+    nphi + 2.  Any other annulus (Robin circles, whose one-sided rows
+    couple three rings, or wider rings) keeps row-major numbering under
+    SuperLU with minimum degree on A^T + A.  ``src`` maps the flat
+    coefficient vector (9 stencil planes, then 5 Robin planes per circle)
+    onto the CSR data, so a Newton step only gathers values.
     """
 
     def __init__(self, grid: PolarGrid, bc: BoundaryConditions,
@@ -357,7 +365,14 @@ class _NewtonSystem:
         self.grid, self.bc = grid, bc
         nr, nphi = grid.nr, grid.nphi
         ncell = nr * nphi
-        if grid.periodic:
+        banded = grid.periodic and bc.kind == "dirichlet" \
+            and nphi <= BAND_MAX_NPHI
+        if banded:
+            k = np.arange(nphi)
+            fold = np.where(k % 2, nphi - 1 - k // 2, k // 2)
+            cells = (np.arange(nr)[:, None] * nphi + fold).ravel()
+            order = cells[active.ravel()[cells]]
+        elif grid.periodic:
             order = np.flatnonzero(active)
             self.permc_spec = "MMD_AT_PLUS_A"
         else:
@@ -394,6 +409,16 @@ class _NewtonSystem:
         self.src = np.take_along_axis(src, by_col, axis=1)[keep]
         self.indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))
                                      ).astype(np.int32)
+        self.band = None
+        if banded:
+            rows = np.repeat(np.arange(n), np.diff(self.indptr))
+            cols = self.indices.astype(rows.dtype)
+            self.bw = int(np.max(np.abs(rows - cols), initial=0))
+            ldab = 3 * self.bw + 1
+            # A[i, j] goes to ab[2 bw + i - j, j] of LAPACK's column-major
+            # band storage ab, the transpose of the buffer
+            self.band = np.zeros((n, ldab))
+            self.band_pos = cols * ldab + 2 * self.bw + rows - cols
 
     def assemble(self, r, delta: float):
         """Residual vector and Jacobian in solve order from ``_residual`` r."""
@@ -429,6 +454,25 @@ class _NewtonSystem:
                                       shape=(self.n, self.n))
         return rhs, jac
 
+    def newton_step(self, rhs, jac):
+        """The step -jac^-1 rhs in solve order, or None if jac is singular."""
+        if self.band is None:
+            import scipy.sparse.linalg
+            try:
+                step = scipy.sparse.linalg.spsolve(jac, -rhs,
+                                                   permc_spec=self.permc_spec)
+            except RuntimeError:
+                return None
+        else:
+            from scipy.linalg.lapack import dgbsv
+            self.band.fill(0.0)
+            np.put(self.band, self.band_pos, jac.data)
+            _, _, step, info = dgbsv(self.bw, self.bw, self.band.T, -rhs,
+                                     overwrite_ab=True, overwrite_b=True)
+            if info != 0:
+                return None
+        return step if np.all(np.isfinite(step)) else None
+
 
 def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
              init: DirectorField, tol: float = 1e-8,
@@ -444,7 +488,7 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     _check_anisotropy(delta)
     if bc.kind == "robin" and not grid.periodic:
         raise ValueError("weak anchoring is only offered on the full annulus")
-    import scipy.sparse.linalg   # before the phase timers start
+    import scipy.sparse.linalg   # newton_step's solvers, before the timers
     theta = init.theta.copy()
     nr, nphi = grid.nr, grid.nphi
 
@@ -488,16 +532,12 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
         t0 = time.perf_counter()
         rhs, jac = system.assemble(r, delta)
         t1 = time.perf_counter()
-        try:
-            step = scipy.sparse.linalg.spsolve(jac, -rhs,
-                                               permc_spec=system.permc_spec)
-        except RuntimeError:
-            step = None
+        step = system.newton_step(rhs, jac)
         t2 = time.perf_counter()
         times[0] += t1 - t0
         times[1] += t2 - t1
         accepted = False
-        if step is not None and np.all(np.isfinite(step)):
+        if step is not None:
             lam = 1.0
             while lam >= 1e-4:
                 trial = theta.copy()

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -747,9 +748,26 @@ class TestNewtonSystem:
     def test_top_level_halves_decoupled(self, name, grid, bc, states, delta):
         active = active_nodes(grid, bc)
         system = _NewtonSystem(grid, bc, active)
-        if grid.periodic:
-            # the thin periodic strip keeps row-major numbering
+        if bc.kind == "robin":
+            # the Robin annulus keeps row-major numbering
             assert np.array_equal(system.order, np.flatnonzero(active))
+            return
+        if grid.periodic:
+            # Dirichlet annulus: ring by ring, each ring folded, so the
+            # half-bandwidth is nphi + 2 at even and odd nphi alike
+            for nphi in (grid.nphi, grid.nphi + 1):
+                ring = PolarGrid.annulus(grid.b, grid.nr, nphi)
+                system = _NewtonSystem(ring, bc, active_nodes(ring, bc))
+                fold = [k // 2 if k % 2 == 0 else nphi - 1 - k // 2
+                        for k in range(nphi)]
+                ii = np.arange(1, grid.nr - 1)
+                assert np.array_equal(system.order,
+                                      (ii[:, None] * nphi + fold).ravel())
+                _, pp = ring.mesh()
+                _, jac = assemble(system, pp + 0.5 * math.pi
+                                  + 0.2 * np.cos(pp) ** 3, delta)
+                coo = jac.tocoo()
+                assert np.max(np.abs(coo.row - coo.col)) == nphi + 2
             return
         # the first bisection cuts the longer side of the index box at
         # its middle line; both halves come before that separator
@@ -785,12 +803,82 @@ class TestNewtonSystem:
         active = active_nodes(grid, bc)
         system = _NewtonSystem(grid, bc, active)
         rhs, jac = assemble(system, states[0], delta)
-        step = scipy.sparse.linalg.spsolve(jac, -rhs, permc_spec=system.permc_spec)
+        step = system.newton_step(rhs, jac)
         ref_rhs, ref_jac = reference_assembly(grid, states[0], delta, bc, active)
         ref_step = np.zeros(grid.nr * grid.nphi)
         ref_step[active.ravel()] = scipy.sparse.linalg.spsolve(ref_jac, -ref_rhs)
         assert np.max(np.abs(step - ref_step[system.order])) \
             <= 1e-12 * np.max(np.abs(ref_step))
+
+
+def annulus_system(nphi, bc):
+    """Newton system of a perturbed defect-free 16 x nphi annulus at delta=0.7."""
+    grid = PolarGrid.annulus(0.3, 16, nphi)
+    xx, pp = grid.mesh()
+    theta = pp + 0.5 * math.pi + 0.2 * np.sin(math.pi * xx / math.log(0.3)) \
+        * np.cos(pp)
+    system = _NewtonSystem(grid, bc, active_nodes(grid, bc))
+    return system, theta, assemble(system, theta, 0.7)
+
+
+class TestLinearSolvePaths:
+    ROBIN = BoundaryConditions(kind="robin", anchoring=AnchoringParams(0.7))
+
+    @pytest.mark.parametrize("nphi, bc, banded", [
+        (pde.BAND_MAX_NPHI, BoundaryConditions(), True),
+        (pde.BAND_MAX_NPHI + 1, BoundaryConditions(), False),
+        (20, ROBIN, False),
+    ], ids=["dirichlet_widest_band", "dirichlet_wider", "robin"])
+    def test_band_only_on_narrow_dirichlet_annulus(self, monkeypatch, nphi, bc,
+                                                   banded):
+        calls = []
+        spsolve = scipy.sparse.linalg.spsolve
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["permc_spec"])
+            return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spy)
+        system, _, (rhs, jac) = annulus_system(nphi, bc)
+        step = system.newton_step(rhs, jac)
+        assert (system.band is not None) == banded
+        assert calls == ([] if banded else ["MMD_AT_PLUS_A"])
+        if not banded:
+            assert np.array_equal(system.order, np.sort(system.order))
+        ref = spsolve(jac, -rhs)
+        assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_band_gives_no_step(self):
+        system, _, (rhs, jac) = annulus_system(20, BoundaryConditions())
+        jac.data[:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert system.newton_step(rhs, jac) is None
+
+    def test_singular_band_relaxes(self, monkeypatch):
+        assemble_csr = _NewtonSystem.assemble
+
+        def zeroed(self, r, delta):
+            rhs, jac = assemble_csr(self, r, delta)
+            jac.data[:] = 0.0
+            return rhs, jac
+
+        monkeypatch.setattr(_NewtonSystem, "assemble", zeroed)
+        bc = BoundaryConditions()
+        system, theta, _ = annulus_system(20, bc)
+        grid = system.grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonDiverged) as info:
+                solve_el(grid, 0.7, bc, DirectorField(grid, theta, bc),
+                         max_iter=2)
+        rep = info.value.history[0]
+        assert isinstance(rep, SolveReport)
+        assert rep.iterations == 2 and not rep.converged
+        # no step reached the line search; relaxation lowered the energy
+        assert rep.line_search_s == 0.0
+        assert len(rep.energy_history) > 1
+        assert np.all(np.diff(rep.energy_history) <= 1e-14)
 
 
 class TestSolveReport:
