@@ -16,6 +16,7 @@ the defect cores removed cross-checks the energies.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -121,26 +122,27 @@ def _cexpm1(a, c):
         + 1j * (np.exp(a) * np.sin(c))
 
 
-def _kernel_odd(m: float, v, phi, grad: bool):
+def _kernel_odd(m: float, v, phi):
     """Sum over odd harmonics: (4/pi) Im artanh(e^{m(v+i phi)})."""
-    if not grad:
-        ev = np.exp(m * v)
-        return (2.0 / math.pi) * np.arctan2(2.0 * ev * np.sin(m * phi),
-                                            -np.expm1(2.0 * m * v))
+    ev = np.exp(m * v)
+    return (2.0 / math.pi) * np.arctan2(2.0 * ev * np.sin(m * phi),
+                                        -np.expm1(2.0 * m * v))
+
+
+def _kernel_linear(m: float, v, phi):
+    """Sum over all harmonics with 1/n weights: (2/m) Im log(1 + w)."""
+    wp1 = -_cexpm1(m * v, m * phi - math.pi)
+    return (2.0 / m) * np.arctan2(wp1.imag, wp1.real)
+
+
+def _kernel_gradients(m: float, v, phi):
+    """h' of the odd and linear kernels Im h(v + i phi), whose (d/dv, d/dphi)
+    are the (imag, real) parts of h'.  w - 1 and w + 1 come without
+    cancellation, so h' = (4m/pi) w/(1 - w^2) and 2w/(1 + w) hold near w = 1."""
     wm1 = _cexpm1(m * v, m * phi)
     wp1 = -_cexpm1(m * v, m * phi - math.pi)
     g = (wm1 + 1.0) / (-wm1 * wp1)
-    scale = 4.0 * m / math.pi
-    return scale * g.imag, scale * g.real
-
-
-def _kernel_linear(m: float, v, phi, grad: bool):
-    """Sum over all harmonics with 1/n weights: (2/m) Im log(1 + w)."""
-    wp1 = -_cexpm1(m * v, m * phi - math.pi)
-    if not grad:
-        return (2.0 / m) * np.arctan2(wp1.imag, wp1.real)
-    g = (wp1 - 1.0) / wp1
-    return 2.0 * g.imag, 2.0 * g.real
+    return (4.0 * m / math.pi) * g, 2.0 * ((wp1 - 1.0) / wp1)
 
 
 def canonical_f_exact(i: int, N: int, b: float, r, phi):
@@ -160,26 +162,46 @@ def canonical_f_exact(i: int, N: int, b: float, r, phi):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _image_kernels(m: float, a0, phi, q: float, j_cap: int, grad: bool):
-    """Odd and linear kernels of the images j = 0, 1, ... of every family.
+def _image_kernels(m: float, a0, phi, q: float, j_cap: int):
+    """Odd and linear kernel values of the images j = 0, 1, ... of every family.
 
     Image j of a family sits at log-radius a0 + 2*j*log(b), so its kernel
     argument is w_j = w_0 * q**j with q = b**N.  The j = 0 images go
     through the cancellation-safe kernels, the others through plain
     rational forms of the same kernels.
     """
-    yield _kernel_odd(m, a0, phi, grad), _kernel_linear(m, a0, phi, grad)
+    yield _kernel_odd(m, a0, phi), _kernel_linear(m, a0, phi)
     w = np.exp(m * a0) * np.exp(1j * m * phi)
     for _ in range(1, j_cap):
         w = w * q
-        if grad:
-            g_odd = (4.0 * m / math.pi) * w / (1.0 - w * w)
-            g_lin = 2.0 * w / (1.0 + w)
-            yield (g_odd.imag, g_odd.real), (g_lin.imag, g_lin.real)
-        else:
-            yield ((2.0 / math.pi) * np.arctan2(2.0 * w.imag,
-                                                1.0 - (w.real ** 2 + w.imag ** 2)),
-                   (2.0 / m) * np.arctan2(w.imag, 1.0 + w.real))
+        yield ((2.0 / math.pi) * np.arctan2(2.0 * w.imag,
+                                            1.0 - (w.real ** 2 + w.imag ** 2)),
+               (2.0 / m) * np.arctan2(w.imag, 1.0 + w.real))
+
+
+def _lambert_sums(w, log_q: float, j_cap: int):
+    """sum_{j>=1} w_j/(1 - w_j^2) and sum_{j>=1} w_j/(1 + w_j), w_j = w*q^j.
+
+    Summed over j first, these are the Lambert series O and O - E, with O
+    and E the odd and even parts of sum_k d_k w^k, d_k = q^k/(1 - q^k),
+    each a Horner sum in w^2.  They stop at the first K <= j_cap with
+    d_K max|w|^K < 2^-60; ValueError if there is none, as off the annulus
+    (convergence needs |w| < 1/q) or for b too close to 1.
+    """
+    k = np.arange(1, j_cap + 2)
+    d = np.exp(k * log_q) / -np.expm1(k * log_q)
+    small = np.flatnonzero(d[:j_cap] * np.max(np.abs(w)) ** k[:j_cap] < 2.0 ** -60)
+    if not small.size:
+        raise ValueError(f"image series not converged in {j_cap} terms")
+    z = w * w
+    s_odd, s_even = np.zeros_like(z), np.zeros_like(z)
+    for c_odd, c_even in d[:small[0] // 2 * 2 + 2].reshape(-1, 2)[::-1]:
+        s_odd *= z
+        s_odd += c_odd
+        s_even *= z
+        s_even += c_even
+    odd = w * s_odd
+    return odd, odd - z * s_even
 
 
 def _images(N: int, b: float, u, phi, grad: bool):
@@ -188,11 +210,10 @@ def _images(N: int, b: float, u, phi, grad: bool):
     Returns [f1, f2, f3, f4] or, with ``grad``, ([f*_u], [f*_phi]).  The
     four image families are affine in j with slope 2*log(b).  Only the
     j = 0 images reach w ~ 1, near the corners, and they go through the
-    cancellation-safe kernels.  Every j >= 1 image follows from the one
-    before by a factor b**N, and |w_j| <= b**N < 1 on the sector keeps
-    1 - w**2 and 1 + w away from zero, so its plain rational kernels lose
-    nothing.  Contributions decay like b**(N*j); the sum stops once an
-    image adds less than 1e-15.
+    cancellation-safe kernels.  For j >= 1, |w_j| <= q = b**N < 1 on the
+    sector keeps 1 - w**2 and 1 + w away from zero: the values add the
+    plain rational kernels image by image until one adds less than 1e-15,
+    and the gradients sum all of them at once by :func:`_lambert_sums`.
     """
     _check_sector(N, b)
     m = 0.5 * N
@@ -202,24 +223,25 @@ def _images(N: int, b: float, u, phi, grad: bool):
     # j = 0 arguments as [pair][direct, reflected]: pair 0 carries the
     # outer-circle data (f1, f2), pair 1 the inner-circle data (f3, f4)
     a0 = np.array([[u, 2.0 * x - u], [x - u, u + x]])
-    # d/du of a reflected argument carries a sign flip
-    sign_u = np.array([1.0, -1.0]).reshape((2,) + (1,) * u.ndim)
     j_cap = max(16, int(80.0 / max(N * abs(x), 1e-3)) + 4)
+    order = ((0, 0), (1, 0), (0, 1), (1, 1))   # [kernel, pair] of f1..f4
+    if grad:
+        s_odd, s_lin = _lambert_sums(np.exp(m * a0) * np.exp(1j * m * phi),
+                                     N * x, j_cap)
+        g_odd, g_lin = _kernel_gradients(m, a0, phi)
+        # g[pair, direct/reflected]; d/du of a reflected argument flips sign
+        sign_u = np.array([1.0, -1.0]).reshape((2,) + (1,) * u.ndim)
+        g_u, g_phi = [], []
+        for g in (g_odd + (4.0 * m / math.pi) * s_odd, g_lin + 2.0 * s_lin):
+            g_u.append(sign_u * (g.imag[:, 0] + g.imag[:, 1]))
+            g_phi.append(g.real[:, 0] - g.real[:, 1])
+        return [g_u[k][p] for k, p in order], [g_phi[k][p] for k, p in order]
     acc = 0.0
-    for j, kernels in enumerate(_image_kernels(m, a0, phi, b ** N, j_cap, grad)):
-        # rows [odd, linear] (with grad: [u odd, u linear, phi odd, phi
-        # linear]), columns [pair]
-        if grad:
-            terms = np.array([sign_u * (k[0][:, 0] + k[0][:, 1]) for k in kernels]
-                             + [k[1][:, 0] - k[1][:, 1] for k in kernels])
-        else:
-            terms = np.array([k[:, 0] - k[:, 1] for k in kernels])
+    for j, kernels in enumerate(_image_kernels(m, a0, phi, b ** N, j_cap)):
+        terms = np.array([k[:, 0] - k[:, 1] for k in kernels])   # [kernel, pair]
         acc = acc + terms
         if j >= 1 and np.max(np.abs(terms)) < 1e-15:
             break
-    order = ((0, 0), (1, 0), (0, 1), (1, 1))   # [kernel, pair] of f1..f4
-    if grad:
-        return [acc[k, p] for k, p in order], [acc[2 + k, p] for k, p in order]
     return [acc[k, p] for k, p in order]
 
 
@@ -348,8 +370,16 @@ def crossover_N(b: float, N_max: int) -> Optional[int]:
 # independent 2-D quadrature of the Dirichlet energy
 
 
-def _gauss_panel(lo, hi, order):
+@functools.cache
+def _leggauss(order):
+    """Gauss-Legendre rule on [-1, 1], computed once per order, read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panel(lo, hi, order):
+    x, w = _leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -367,7 +397,7 @@ def _corner_patch(corner, e1, e2, rho_min, size, n_psi, n_s):
     psi, wpsi = psi.ravel(), wpsi.ravel()
     r_outer = size / np.maximum(np.cos(psi), np.sin(psi))
     smax = np.log(r_outer / rho_min)
-    s_ref, ws_ref = np.polynomial.legendre.leggauss(n_s)
+    s_ref, ws_ref = _leggauss(n_s)
     s = 0.5 * (s_ref[None, :] + 1.0) * smax[:, None]
     ws = 0.5 * ws_ref[None, :] * smax[:, None]
     rho = rho_min * np.exp(s)

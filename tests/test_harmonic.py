@@ -12,8 +12,10 @@ from annulus_nematics.harmonic import (
     crossover_N,
     _gauss_panel,
     _images,
+    _kernel_gradients,
     _kernel_linear,
     _kernel_odd,
+    _lambert_sums,
     _log_eta,
     _oracle_level,
     director,
@@ -95,8 +97,8 @@ def reference_images(N, b, u, phi, grad):
                 (2.0 * j + 1) * x - u,      # direct, type 3/4
                 u + (2.0 * j + 1) * x)      # reflected, type 3/4
         if not grad:
-            k1 = [_kernel_odd(m, a, phi, False) for a in args]
-            k2 = [_kernel_linear(m, a, phi, False) for a in args]
+            k1 = [_kernel_odd(m, a, phi) for a in args]
+            k2 = [_kernel_linear(m, a, phi) for a in args]
             inc = 0.0
             for out, pos, neg in ((acc[0], k1[0], k1[1]), (acc[1], k2[0], k2[1]),
                                   (acc[2], k1[2], k1[3]), (acc[3], k2[2], k2[3])):
@@ -104,8 +106,9 @@ def reference_images(N, b, u, phi, grad):
                 out += term
                 inc = max(inc, float(np.max(np.abs(term))))
         else:
-            k1 = [_kernel_odd(m, a, phi, True) for a in args]
-            k2 = [_kernel_linear(m, a, phi, True) for a in args]
+            grads = [_kernel_gradients(m, a, phi) for a in args]
+            k1 = [(g.imag, g.real) for g, _ in grads]
+            k2 = [(g.imag, g.real) for _, g in grads]
             inc = 0.0
             # d/du of a reflected argument carries a sign flip
             for idx, (pos, neg) in enumerate(((k1[0], k1[1]), (k2[0], k2[1]),
@@ -121,6 +124,20 @@ def reference_images(N, b, u, phi, grad):
     if grad:
         return acc_u, acc_p
     return acc
+
+
+def extended_image_sums(w, log_q):
+    """sum_{j>=1} w_j/(1 - w_j**2) and sum_{j>=1} w_j/(1 + w_j), w_j = w*q**j,
+    image by image in long double until an image adds less than its epsilon."""
+    ld = np.longdouble
+    w, q = w.astype(np.clongdouble), np.exp(ld(log_q))
+    s_odd = s_lin = 0
+    while True:
+        w = w * q
+        t_odd, t_lin = w / (1 - w * w), w / (1 + w)
+        s_odd, s_lin = s_odd + t_odd, s_lin + t_lin
+        if max(np.max(np.abs(t_odd)), np.max(np.abs(t_lin))) < np.finfo(ld).eps:
+            return s_odd, s_lin
 
 
 def reference_oracle_level(spec, b, eps, n_psi, n_s, order, panel_div):
@@ -264,6 +281,24 @@ class TestImageSums:
         vals = _images(N, b, u, p, grad=False)
         fu, fp = _images(N, b, u, p, grad=True)
         for got, want in zip(vals + fu + fp, ref + ref_u + ref_p):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="long double is no wider than double here")
+class TestGradientSeriesNearUnitRatio:
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("b", [0.9, 0.97, 0.99])
+    def test_matches_extended_precision_loop(self, N, b):
+        # the j >= 1 gradient images as b -> 1, where thousands of them add
+        # up, for the j = 0 arguments of points in and at the edge of the
+        # sector; the cap is one the 2**-60 stop reaches first
+        u, p = sector_probe_points(N, b, np.random.default_rng(N + int(100 * b)))
+        m, x = 0.5 * N, math.log(b)
+        w = np.exp(m * np.array([[u, 2 * x - u], [x - u, u + x]])) * np.exp(1j * m * p)
+        for got, want in zip(_lambert_sums(w, N * x, 100_000),
+                             extended_image_sums(w, N * x)):
+            want = want.astype(complex)
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
@@ -554,9 +589,13 @@ class TestDomain:
         lambda: crossover_N(1.5, 10),
         lambda: canonical_f_exact(0, 4, 0.5, 0.7, 0.5),
         lambda: canonical_f_exact(5, 4, 0.5, 0.7, 0.5),
+        # the gradient series cannot reach round-off within its term cap
+        lambda: director_gradient(state_coefficients("U2", 4), 0.5, 10.0, 0.3),
+        lambda: director_gradient(state_coefficients("U2", 1, False), 0.9999, 0.99995, 0.5),
     ], ids=["director", "director_gradient", "series_s", "normalized_energy",
             "total_energy", "crossover_N", "canonical_index_0",
-            "canonical_index_5"])
+            "canonical_index_5", "director_gradient_off_annulus",
+            "director_gradient_b_near_one"])
     def test_rejects_out_of_domain(self, call):
         with pytest.raises(ValueError):
             call()
