@@ -162,46 +162,38 @@ def canonical_f_exact(i: int, N: int, b: float, r, phi):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _image_kernels(m: float, a0, phi, q: float, j_cap: int):
-    """Odd and linear kernel values of the images j = 0, 1, ... of every family.
-
-    Image j of a family sits at log-radius a0 + 2*j*log(b), so its kernel
-    argument is w_j = w_0 * q**j with q = b**N.  The j = 0 images go
-    through the cancellation-safe kernels, the others through plain
-    rational forms of the same kernels.
-    """
-    yield _kernel_odd(m, a0, phi), _kernel_linear(m, a0, phi)
-    w = np.exp(m * a0) * np.exp(1j * m * phi)
-    for _ in range(1, j_cap):
-        w = w * q
-        yield ((2.0 / math.pi) * np.arctan2(2.0 * w.imag,
-                                            1.0 - (w.real ** 2 + w.imag ** 2)),
-               (2.0 / m) * np.arctan2(w.imag, 1.0 + w.real))
-
-
-def _lambert_sums(w, log_q: float, j_cap: int):
-    """sum_{j>=1} w_j/(1 - w_j^2) and sum_{j>=1} w_j/(1 + w_j), w_j = w*q^j.
-
-    Summed over j first, these are the Lambert series O and O - E, with O
-    and E the odd and even parts of sum_k d_k w^k, d_k = q^k/(1 - q^k),
-    each a Horner sum in w^2.  They stop at the first K <= j_cap with
-    d_K max|w|^K < 2^-60; ValueError if there is none, as off the annulus
-    (convergence needs |w| < 1/q) or for b too close to 1.
-    """
+def _lambert_coefficients(N: int, b: float, w, j_cap: int):
+    """k = 1..K and d_k = q^k/(1 - q^k), q = b**N: the Lambert coefficients
+    of the j >= 1 images of w.  K is even and passes the first k <= j_cap
+    with d_k max|w|^k < 2^-60; ValueError if there is none, as off the
+    annulus (convergence needs |w| < 1/q) or for b too close to 1."""
+    log_q = N * math.log(b)
     k = np.arange(1, j_cap + 2)
     d = np.exp(k * log_q) / -np.expm1(k * log_q)
     small = np.flatnonzero(d[:j_cap] * np.max(np.abs(w)) ** k[:j_cap] < 2.0 ** -60)
     if not small.size:
-        raise ValueError(f"image series not converged in {j_cap} terms")
+        raise ValueError(f"image series at b={b!r}, N={N} not converged "
+                         f"in {j_cap} terms")
+    n = small[0] // 2 * 2 + 2
+    return k[:n], d[:n]
+
+
+def _lambert_sums(w, c):
+    """Odd part O and O - E of sum_k c_k w^k (E the even part) as Horner sums
+    in w^2 over an even number of coefficients.  With w_j = w*q^j, c_k = d_k
+    gives sum_{j>=1} w_j/(1 - w_j^2) and w_j/(1 + w_j), c_k = d_k/k gives
+    sum_{j>=1} artanh(w_j) and log(1 + w_j)."""
     z = w * w
     s_odd, s_even = np.zeros_like(z), np.zeros_like(z)
-    for c_odd, c_even in d[:small[0] // 2 * 2 + 2].reshape(-1, 2)[::-1]:
+    for c_odd, c_even in c.reshape(-1, 2)[::-1]:
         s_odd *= z
         s_odd += c_odd
         s_even *= z
         s_even += c_even
-    odd = w * s_odd
-    return odd, odd - z * s_even
+    np.multiply(w, s_odd, out=s_odd)
+    np.multiply(z, s_even, out=s_even)
+    np.subtract(s_odd, s_even, out=s_even)
+    return s_odd, s_even
 
 
 def _images(N: int, b: float, u, phi, grad: bool):
@@ -211,9 +203,10 @@ def _images(N: int, b: float, u, phi, grad: bool):
     four image families are affine in j with slope 2*log(b).  Only the
     j = 0 images reach w ~ 1, near the corners, and they go through the
     cancellation-safe kernels.  For j >= 1, |w_j| <= q = b**N < 1 on the
-    sector keeps 1 - w**2 and 1 + w away from zero: the values add the
-    plain rational kernels image by image until one adds less than 1e-15,
-    and the gradients sum all of them at once by :func:`_lambert_sums`.
+    sector keeps 1 - w**2 and 1 + w away from zero, and
+    :func:`_lambert_sums` adds all of them at once: the kernels
+    (4/pi) Im artanh(w) and (2/m) Im log(1 + w) for the values, their
+    derivatives for the gradients.
     """
     _check_sector(N, b)
     m = 0.5 * N
@@ -225,9 +218,11 @@ def _images(N: int, b: float, u, phi, grad: bool):
     a0 = np.array([[u, 2.0 * x - u], [x - u, u + x]])
     j_cap = max(16, int(80.0 / max(N * abs(x), 1e-3)) + 4)
     order = ((0, 0), (1, 0), (0, 1), (1, 1))   # [kernel, pair] of f1..f4
+    w = np.exp(m * a0) * np.exp(1j * m * phi)
+    powers, d = _lambert_coefficients(N, b, w, j_cap)
+    s_odd, s_lin = _lambert_sums(w, d if grad else d / powers)
+    del w   # not needed past the sums, so the kernels' temporaries reuse it
     if grad:
-        s_odd, s_lin = _lambert_sums(np.exp(m * a0) * np.exp(1j * m * phi),
-                                     N * x, j_cap)
         g_odd, g_lin = _kernel_gradients(m, a0, phi)
         # g[pair, direct/reflected]; d/du of a reflected argument flips sign
         sign_u = np.array([1.0, -1.0]).reshape((2,) + (1,) * u.ndim)
@@ -236,13 +231,12 @@ def _images(N: int, b: float, u, phi, grad: bool):
             g_u.append(sign_u * (g.imag[:, 0] + g.imag[:, 1]))
             g_phi.append(g.real[:, 0] - g.real[:, 1])
         return [g_u[k][p] for k, p in order], [g_phi[k][p] for k, p in order]
-    acc = 0.0
-    for j, kernels in enumerate(_image_kernels(m, a0, phi, b ** N, j_cap)):
-        terms = np.array([k[:, 0] - k[:, 1] for k in kernels])   # [kernel, pair]
-        acc = acc + terms
-        if j >= 1 and np.max(np.abs(terms)) < 1e-15:
-            break
-    return [acc[k, p] for k, p in order]
+    # the values need only Im of the sums; copies free the complex arrays
+    s_odd, s_lin = s_odd.imag.copy(), s_lin.imag.copy()
+    vals = [v[:, 0] - v[:, 1]
+            for v in (_kernel_odd(m, a0, phi) + (4.0 / math.pi) * s_odd,
+                      _kernel_linear(m, a0, phi) + (2.0 / m) * s_lin)]
+    return [vals[k][p] for k, p in order]
 
 
 def director(spec: DefectStateSpec, b: float, r, phi):

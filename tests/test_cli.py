@@ -250,6 +250,19 @@ class TestPdeSolve:
                                    "--out", str(tmp_path / "missing" / "f.csv")])
         assert res.exit_code == 2, res.output
 
+    def test_unconverged_image_series_is_config_error(self, runner, tmp_path):
+        # the sector state's image series cannot reach round-off within its
+        # term cap at b = 0.9999, N = 1
+        out = tmp_path / "fld.csv"
+        res = runner.invoke(main, ["pde-solve", "--b", "0.9999", "--delta", "0.5",
+                                   "--sector-n", "1", "--nr", "17", "--nphi", "17",
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        (line,) = [ln for ln in res.stderr.splitlines() if ln.startswith("Error")]
+        assert "b=0.9999, N=1" in line
+        assert not out.exists()
+
     def test_core_radius_overflow(self, runner, tmp_path):
         # eps / b = 1e300 squared overflows: every node lies inside a core
         out = tmp_path / "fld.csv"

@@ -15,6 +15,7 @@ from annulus_nematics.harmonic import (
     _kernel_gradients,
     _kernel_linear,
     _kernel_odd,
+    _lambert_coefficients,
     _lambert_sums,
     _log_eta,
     _oracle_level,
@@ -127,17 +128,18 @@ def reference_images(N, b, u, phi, grad):
 
 
 def extended_image_sums(w, log_q):
-    """sum_{j>=1} w_j/(1 - w_j**2) and sum_{j>=1} w_j/(1 + w_j), w_j = w*q**j,
-    image by image in long double until an image adds less than its epsilon."""
+    """sum_{j>=1} of w_j/(1 - w_j**2), w_j/(1 + w_j), artanh(w_j) and
+    log(1 + w_j), w_j = w*q**j, image by image in long double until an image
+    adds less than its epsilon."""
     ld = np.longdouble
     w, q = w.astype(np.clongdouble), np.exp(ld(log_q))
-    s_odd = s_lin = 0
+    sums = [0, 0, 0, 0]
     while True:
         w = w * q
-        t_odd, t_lin = w / (1 - w * w), w / (1 + w)
-        s_odd, s_lin = s_odd + t_odd, s_lin + t_lin
-        if max(np.max(np.abs(t_odd)), np.max(np.abs(t_lin))) < np.finfo(ld).eps:
-            return s_odd, s_lin
+        terms = w / (1 - w * w), w / (1 + w), np.arctanh(w), np.log1p(w)
+        sums = [s + t for s, t in zip(sums, terms)]
+        if max(np.max(np.abs(t)) for t in terms) < np.finfo(ld).eps:
+            return sums
 
 
 def reference_oracle_level(spec, b, eps, n_psi, n_s, order, panel_div):
@@ -290,16 +292,20 @@ class TestGradientSeriesNearUnitRatio:
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("b", [0.9, 0.97, 0.99])
     def test_matches_extended_precision_loop(self, N, b):
-        # the j >= 1 gradient images as b -> 1, where thousands of them add
-        # up, for the j = 0 arguments of points in and at the edge of the
-        # sector; the cap is one the 2**-60 stop reaches first
+        # the j >= 1 images as b -> 1, where thousands of them add up, for
+        # the j = 0 arguments of points in and at the edge of the sector;
+        # the cap is one the 2**-60 stop reaches first.  The value sums are
+        # held to a few ulps: a double image-by-image loop errs by up to
+        # 1.2e-14 there
         u, p = sector_probe_points(N, b, np.random.default_rng(N + int(100 * b)))
         m, x = 0.5 * N, math.log(b)
         w = np.exp(m * np.array([[u, 2 * x - u], [x - u, u + x]])) * np.exp(1j * m * p)
-        for got, want in zip(_lambert_sums(w, N * x, 100_000),
-                             extended_image_sums(w, N * x)):
+        k, d = _lambert_coefficients(N, b, w, 100_000)
+        got = _lambert_sums(w, d) + _lambert_sums(w, d / k)
+        for g, want, tol in zip(got, extended_image_sums(w, N * x),
+                                (1e-13, 1e-13, 4e-15, 4e-15)):
             want = want.astype(complex)
-            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            assert np.all(np.abs(g - want) <= tol * np.maximum(1.0, np.abs(want)))
 
 
 class TestStateCoefficients:
@@ -599,6 +605,12 @@ class TestDomain:
     def test_rejects_out_of_domain(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("fn", [director, director_gradient])
+    def test_unconverged_series_names_b_and_N(self, fn):
+        # no term count within the cap reaches round-off at b = 0.9999
+        with pytest.raises(ValueError, match=r"b=0\.9999, N=1 "):
+            fn(state_coefficients("U2", 1, False), 0.9999, 0.99995, 0.5)
 
     @pytest.mark.parametrize("call", [
         lambda: canonical_f_exact(1, -2, 0.5, 0.7, 0.5),
