@@ -158,10 +158,11 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     tolerance.  The profile is then recovered on a uniform t-grid by
     inverting the monotone half-branch against the integral u_max actually
     attains, so U = 0 falls exactly on the pinned endpoint t = 0, and
-    mirrored about the midpoint.  Each node is found by a bracketed Illinois
-    secant in w = sqrt(u_max - U), where t(w) is smooth and monotone.  Only
-    the single-extremum branch is computed; multi-extremum solutions exist
-    but carry more energy.
+    mirrored about the midpoint.  Each node is predicted by Newton in
+    w = sqrt(u_max - U), where t(w) is smooth and monotone, bracketed a few
+    ulps around the prediction and bisected down to a sign change between
+    adjacent doubles.  Only the single-extremum branch is computed;
+    multi-extremum solutions exist but carry more energy.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("radius ratio must lie in (0,1)")
@@ -218,27 +219,42 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
             out[i:i + 1024] = _tail_integral(out[i:i + 1024], delta, u_max)
         return half - out[:u.size]
 
-    # Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168) on f =
-    # t(u) - t_i, f(a) <= 0 < f(c), secant in w = sqrt(u_max - u); a node
-    # stops at a sign change between adjacent doubles, as bisection would.
-    a = np.zeros_like(t_half)
-    c = np.full_like(t_half, u_max * (1.0 - 1e-15))
-    fa, fc = -t_half, t_of(c) - t_half
-    moved = np.zeros(t_half.shape, dtype=np.int8)  # +1: c moved last, -1: a
-    act = np.arange(t_half.size)
+    # Predict each node in w = sqrt(u_max - u), where t(w) is smooth: linear
+    # interpolation in a 64-row table, then two Newton steps on dt/dw = -g,
+    # g the _tail_integral integrand at the node itself.
+    w_tab = np.linspace(math.sqrt(u_max), 0.0, 64)
+    w = np.interp(t_half, t_of(u_max - w_tab ** 2), w_tab)
+    for _ in range(2):
+        ww = w * w
+        g = 2.0 * w * np.sqrt((1.0 - delta * np.cos(u_max - ww) ** 2) / np.maximum(
+            delta * np.sin(2.0 * u_max - ww) * np.sin(ww), 1e-300))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.clip(w + (t_of(u_max - ww) - t_half) / g, 0.0, w_tab[0])
+    # Bracket f = t(u) - t_i by stepping outward from the prediction x by
+    # 1.6e-15*x*4^k until f changes sign.  A node whose prediction is not
+    # finite, or whose search leaves (0, c_max), takes the full bracket.
+    c_max = u_max * (1.0 - 1e-15)
+    x = u_max - w * w
+    act = np.flatnonzero((x > 0.0) & (x < c_max))
+    a, c = np.zeros_like(t_half), np.full_like(t_half, c_max)
+    a[act] = c[act] = x[act]
+    up = t_of(x[act]) > t_half[act]
+    step = 1.6e-15 * x[act]
     while act.size:
-        ai, ci, fai, fci = a[act], c[act], fa[act], fc[act]
-        wa, wc = np.sqrt(u_max - ai), np.sqrt(u_max - ci)
-        w = (wa * fci - wc * fai) / (fci - fai)
-        x = u_max - w * w
-        x = np.where((x > ai) & (x < ci), x, 0.5 * (ai + ci))
-        fx = t_of(x) - t_half[act]
-        up = fx > 0.0
-        # the endpoint kept a second time in a row has its value halved
-        fa[act] = np.where(up, np.where(moved[act] == 1, 0.5 * fai, fai), fx)
-        fc[act] = np.where(up, fx, np.where(moved[act] == -1, 0.5 * fci, fci))
-        a[act], c[act] = np.where(up, ai, x), np.where(up, x, ci)
-        moved[act] = np.where(up, 1, -1)
+        y = x[act] + np.where(up, -step, step)
+        y_up = t_of(y) > t_half[act]
+        out = (y <= 0.0) | (y >= c_max)
+        a[act] = np.where(out, 0.0, np.where(y_up, a[act], y))
+        c[act] = np.where(out, c_max, np.where(y_up, y, c[act]))
+        go = ~out & (y_up == up)
+        act, up, step = act[go], up[go], 4.0 * step[go]
+    # then bisection, f(a) <= 0 < f(c), down to adjacent doubles
+    mid = 0.5 * (a + c)
+    act = np.flatnonzero((mid != a) & (mid != c))
+    while act.size:
+        mid = 0.5 * (a[act] + c[act])
+        up = t_of(mid) > t_half[act]
+        a[act], c[act] = np.where(up, a[act], mid), np.where(up, mid, c[act])
         mid = 0.5 * (a[act] + c[act])
         act = act[(mid != a[act]) & (mid != c[act])]
     u_half = 0.5 * (a + c)

@@ -361,9 +361,18 @@ class _NewtonSystem:
     """
 
     def __init__(self, grid: PolarGrid, bc: BoundaryConditions,
-                 active: np.ndarray):
-        self.grid, self.bc = grid, bc
+                 active: Optional[np.ndarray] = None):
         nr, nphi = grid.nr, grid.nphi
+        if active is None:
+            # Dirichlet edges (sector edges always) and pinned cores are fixed
+            active = np.ones((nr, nphi), dtype=bool)
+            if bc.kind == "dirichlet":
+                active[[0, -1], :] = False
+            if not grid.periodic:
+                active[:, [0, -1]] = False
+            if bc.pin_mask is not None:
+                active &= ~bc.pin_mask
+        self.grid, self.bc, self.active = grid, bc, active
         ncell = nr * nphi
         banded = grid.periodic and bc.kind == "dirichlet" \
             and nphi <= BAND_MAX_NPHI
@@ -488,23 +497,20 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     _check_anisotropy(delta)
     if bc.kind == "robin" and not grid.periodic:
         raise ValueError("weak anchoring is only offered on the full annulus")
-    import scipy.sparse.linalg   # newton_step's solvers, before the timers
-    theta = init.theta.copy()
-    nr, nphi = grid.nr, grid.nphi
-
-    active = np.ones((nr, nphi), dtype=bool)
-    if bc.kind == "dirichlet":
-        active[0, :] = False
-        active[-1, :] = False
-    if not grid.periodic:
-        active[:, 0] = False
-        active[:, -1] = False
-    if bc.pin_mask is not None:
-        active &= ~bc.pin_mask
     t0 = time.perf_counter()
-    system = _NewtonSystem(grid, bc, active)
-    # assemble, linear solve, line search; the pattern counts as assembly
-    times = [time.perf_counter() - t0, 0.0, 0.0]
+    system = _NewtonSystem(grid, bc)
+    return _newton(system, delta, init, tol, max_iter,
+                   time.perf_counter() - t0)
+
+
+def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
+            tol: float = 1e-8, max_iter: int = 40, build_s: float = 0.0):
+    """``solve_el`` on a prebuilt system; ``build_s`` counts as assembly."""
+    import scipy.sparse.linalg   # newton_step's solvers, before the timers
+    grid, bc, active = system.grid, system.bc, system.active
+    theta = init.theta.copy()
+    # assemble, linear solve, line search
+    times = [build_s, 0.0, 0.0]
 
     alpha = bc.anchoring.alpha if bc.kind == "robin" else None
 
@@ -602,6 +608,7 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
     for d in delta_values:
         _check_anisotropy(d)
     grid = PolarGrid.annulus(b, nr, nphi)
+    system = _NewtonSystem(grid, BoundaryConditions())
     xx, pp = grid.mesh()
     mode = np.sin(math.pi * xx / math.log(b))
     out = []
@@ -610,9 +617,9 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
         err = None
         for boost in (1.0, 2.0, 4.0, 8.0, 16.0):
             theta0 = pp + 0.5 * math.pi + boost * seed_amplitude * mode
-            init = DirectorField(grid, theta0, BoundaryConditions())
+            init = DirectorField(grid, theta0, system.bc)
             try:
-                fld, _ = solve_el(grid, float(d), BoundaryConditions(), init)
+                fld, _ = _newton(system, float(d), init)
             except NewtonDiverged as exc:
                 err = exc
                 continue

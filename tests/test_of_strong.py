@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from annulus_nematics import of_strong
 from annulus_nematics.numerics import Bracket, GridFunction, find_root
 from annulus_nematics.of_strong import (
     AnnulusGeometry,
@@ -58,6 +59,18 @@ def reference_spiral_half(delta, b, n_profile):
         u_hi = np.where(above, u_mid, u_hi)
         u_lo = np.where(above, u_lo, u_mid)
     return u_max, 0.5 * (u_lo + u_hi)
+
+
+def count_tail_rows(monkeypatch):
+    """Record the row count of every _tail_integral call from of_strong."""
+    rows = []
+
+    def spy(u_lo, *args):
+        rows.append(u_lo.size)
+        return _tail_integral(u_lo, *args)
+
+    monkeypatch.setattr(of_strong, "_tail_integral", spy)
+    return rows
 
 
 @st.composite
@@ -222,7 +235,11 @@ class TestSpiral:
 
     @pytest.mark.parametrize("delta,b,n_profile", [
         (0.95, 0.2, 4097), (0.85, 0.2, 4097), (1.0, 0.5, 4097),
-        (delta_n(0.2, 1) + 1e-4, 0.2, 513), (0.99, 0.69, 1025)])
+        (delta_n(0.2, 1) + 1e-4, 0.2, 513), (0.99, 0.69, 1025),
+        # weak Newton predictions: dt/dw -> 0 at the pinned end, an offset
+        # near resolution, and a profile too steep for the 64-row table
+        (1.0, 0.2, 4097), (delta_n(0.2, 1) + 1e-8, 0.2, 4097),
+        (0.9, 1e-6, 4097)])
     def test_inversion_ends_on_adjacent_double_sign_change(self, delta, b, n_profile):
         state = spiral_solve(delta, b, n_profile=n_profile)
         ref_u_max, ref_half = reference_spiral_half(delta, b, n_profile)
@@ -246,6 +263,30 @@ class TestSpiral:
         f_lo = f(np.where(above, other, u))
         f_hi = f(np.where(above, u, other))
         assert np.all((f_lo <= 0.0) & (f_hi > 0.0))
+
+    @pytest.mark.parametrize("delta,b", [(0.95, 0.2), (0.85, 0.2)])
+    def test_inversion_cost_per_node(self, monkeypatch, delta, b):
+        # quadrature rows per half-profile node, padding and the u_max root
+        # find included: a Newton prediction and a bracket a few ulps wide,
+        # where the full bracket [0, u_max] took 14-18
+        rows = count_tail_rows(monkeypatch)
+        spiral_solve(delta, b, n_profile=16385)
+        assert sum(rows) / (16385 // 2 - 1) <= 9.0
+
+    def test_unusable_prediction_takes_full_bracket(self, monkeypatch):
+        # a non-finite Newton prediction leaves plain bisection on the full
+        # bracket, which ends where the reference bisection does
+        delta, b, n_profile = 0.95, 0.2, 1025
+        rows = count_tail_rows(monkeypatch)
+        monkeypatch.setattr(of_strong.np, "interp",
+                            lambda t, *args: np.full_like(t, np.nan))
+        state = spiral_solve(delta, b, n_profile=n_profile)
+        monkeypatch.undo()
+        assert sum(rows) / (n_profile // 2 - 1) > 40.0
+        ref_u_max, ref_half = reference_spiral_half(delta, b, n_profile)
+        assert state.u_max == ref_u_max
+        n_half = n_profile // 2
+        assert np.max(np.abs(state.profile.values[1:n_half] - ref_half[:-1])) < 1e-13
 
     def test_ode_residual_at_delta_one(self):
         state = spiral_solve(1.0, 0.2, n_profile=8193)
