@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import harmonic, ldg, pde, svgplot
-from .numerics import NewtonDiverged, NonConvergence
+from .numerics import NewtonDiverged
 from .of_strong import delta_n, spiral_solve
 from .of_weak import AnchoringParams, delta_weak
 
@@ -124,8 +124,8 @@ class _SolverGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (NewtonDiverged, NonConvergence) as exc:
-            report = exc.history[0] if getattr(exc, "history", None) else None
+        except NewtonDiverged as exc:
+            report = exc.history[0] if exc.history else None
             payload = {"error": str(exc)}
             if dataclasses.is_dataclass(report):
                 payload["report"] = _report_dict(report)

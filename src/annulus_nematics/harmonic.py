@@ -16,12 +16,13 @@ the defect cores removed cross-checks the energies.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .numerics import gauss_legendre
 
 
 KINDS = ("U1", "U2", "U3", "D")
@@ -364,16 +365,8 @@ def crossover_N(b: float, N_max: int) -> Optional[int]:
 # independent 2-D quadrature of the Dirichlet energy
 
 
-@functools.cache
-def _leggauss(order):
-    """Gauss-Legendre rule on [-1, 1], computed once per order, read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _gauss_panel(lo, hi, order):
-    x, w = _leggauss(order)
+    x, w = gauss_legendre(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -391,7 +384,7 @@ def _corner_patch(corner, e1, e2, rho_min, size, n_psi, n_s):
     psi, wpsi = psi.ravel(), wpsi.ravel()
     r_outer = size / np.maximum(np.cos(psi), np.sin(psi))
     smax = np.log(r_outer / rho_min)
-    s_ref, ws_ref = _leggauss(n_s)
+    s_ref, ws_ref = gauss_legendre(n_s)
     s = 0.5 * (s_ref[None, :] + 1.0) * smax[:, None]
     ws = 0.5 * ws_ref[None, :] * smax[:, None]
     rho = rho_min * np.exp(s)

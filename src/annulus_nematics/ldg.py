@@ -38,7 +38,7 @@ class LdGParams:
     t: float
 
     def __post_init__(self):
-        if self.t < 0.0:
+        if not self.t >= 0.0:
             raise ValueError("t must be nonnegative")
 
 

@@ -1,13 +1,14 @@
 """Shared numerical kernels for the annulus equilibrium computations.
 
-Bracketed root finding, adaptive quadrature with inverse-square-root
-endpoint handling, a damped-Newton solver for scalar two-point boundary
-value problems, and the smallest generalized eigenvalue of a discretized
-symmetric banded quadratic form.  Everything here is pure: no global state,
-safe to call concurrently on independent inputs.
+Bracketed root finding, one memoized Gauss-Legendre rule, a damped-Newton
+solver for scalar two-point boundary value problems, and the smallest
+generalized eigenvalue of a discretized symmetric banded quadratic form.
+Everything here is pure apart from the memo of read-only quadrature rules,
+so it is safe to call concurrently on independent inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -17,10 +18,6 @@ import numpy as np
 
 class NoSignChange(ValueError):
     """The root bracket does not straddle a sign change."""
-
-
-class NonConvergence(RuntimeError):
-    """Adaptive refinement exhausted its budget before reaching tolerance."""
 
 
 class NewtonDiverged(RuntimeError):
@@ -110,98 +107,12 @@ def find_root(residual: Callable[[float], float],
     return 0.5 * (lo + hi)
 
 
-# Gauss-Legendre node/weight pairs for the embedded 7/15 error estimate.
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
-
-
-def _vector_eval(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array, falling back to a scalar loop."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
-
-
-def _adaptive_gauss(f: Callable, a: float, b: float, tol: float,
-                    max_panels: int = 8192, max_rounds: int = 60) -> float:
-    """Globally adaptive Gauss quadrature with interior nodes only."""
-    panels = [(a, b)]
-    total = 0.0
-    length = b - a
-    for _ in range(max_rounds):
-        if not panels:
-            return total
-        lo = np.array([p[0] for p in panels])
-        hi = np.array([p[1] for p in panels])
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x7 = mid[:, None] + half[:, None] * _GL7[0][None, :]
-        x15 = mid[:, None] + half[:, None] * _GL15[0][None, :]
-        xs = np.concatenate([x7.ravel(), x15.ravel()])
-        ys = _vector_eval(f, xs)
-        n = len(panels)
-        y7 = ys[:7 * n].reshape(n, 7)
-        y15 = ys[7 * n:].reshape(n, 15)
-        i7 = half * (y7 @ _GL7[1])
-        i15 = half * (y15 @ _GL15[1])
-        err = np.abs(i15 - i7)
-        # length-proportional budget with a roundoff floor so panels whose
-        # error estimate has saturated at machine precision still terminate
-        budget = 0.5 * tol * (hi - lo) / length + 1e-14 * np.abs(i15) + 1e-300
-        done = (err <= budget) & np.isfinite(i15)
-        total += float(np.sum(i15[done]))
-        nxt = []
-        for k in np.nonzero(~done)[0]:
-            m = mid[k]
-            nxt.append((lo[k], m))
-            nxt.append((m, hi[k]))
-        if len(nxt) > max_panels:
-            raise NonConvergence(f"quadrature budget exhausted: {len(nxt)} panels, "
-                                 f"pending error {float(np.sum(err[~done])):.3e}")
-        panels = nxt
-    if panels:
-        raise NonConvergence("quadrature did not converge within the round limit")
-    return total
-
-
-def integrate_singular(f: Callable[[float], float], a: float, b: float,
-                       singularity: Optional[str] = None,
-                       tol: float = 1e-10) -> float:
-    """Integrate ``f`` on [a, b], handling a 1/sqrt endpoint singularity.
-
-    ``singularity`` is None, "lower" or "upper".  A flagged endpoint is
-    removed by the substitution distance = w**2, which turns an integrand
-    behaving like C/sqrt(distance) into a smooth one; plain adaptive
-    quadrature is then applied.  The quadrature nodes are interior, so the
-    (removable) 0*inf limit at the flagged endpoint is never evaluated.
-    """
-    if b <= a:
-        raise ValueError("integration interval must satisfy a < b")
-    if singularity is None:
-        return _adaptive_gauss(f, a, b, tol)
-    # below w_floor the distance w^2 from the endpoint would round away in
-    # the subtraction; clamping keeps f's argument strictly off the endpoint
-    # at a cost of O(machine eps) in the integral
-    w_floor = 2.0 * math.sqrt(np.finfo(float).eps * max(1.0, abs(a), abs(b)))
-    if singularity == "upper":
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            ws = np.maximum(w, w_floor)
-            return 2.0 * w * _vector_eval(f, b - ws * ws)
-
-        return _adaptive_gauss(g, 0.0, np.sqrt(b - a), tol)
-    if singularity == "lower":
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            ws = np.maximum(w, w_floor)
-            return 2.0 * w * _vector_eval(f, a + ws * ws)
-
-        return _adaptive_gauss(g, 0.0, np.sqrt(b - a), tol)
-    raise ValueError(f"unknown singularity flag: {singularity!r}")
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], computed once per order, read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def solve_bvp(ode_rhs: Callable,

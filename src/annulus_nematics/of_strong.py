@@ -13,9 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Bracket, GridFunction, find_root
-
-_GL64 = np.polynomial.legendre.leggauss(64)
+from .numerics import Bracket, GridFunction, find_root, gauss_legendre
 
 
 class SubcriticalInput(ValueError):
@@ -103,6 +101,10 @@ def delta_n(b: float, n: int) -> float:
 
 def eigenmode(b: float, n: int, r):
     """Neutral radial mode sin(pi n log r / log b), unit amplitude."""
+    if not 0.0 < b < 1.0:
+        raise ValueError("radius ratio must lie in (0,1)")
+    if n < 1:
+        raise ValueError("mode index must be a positive integer")
     r = np.asarray(r, dtype=float)
     out = np.sin(math.pi * n * np.log(r) / math.log(b))
     return float(out) if out.ndim == 0 else out
@@ -136,18 +138,21 @@ def pitchfork_amplitude(delta: float, b: float) -> float:
     return math.sqrt(2.0 * (delta - d1) / d1)
 
 
+def _integrand(w, delta: float, u_max: float):
+    """Turning-point integrand in w = sqrt(u_max - U); along the profile
+    dt/dw = -_integrand."""
+    ww = w * w
+    num = 1.0 - delta * np.cos(u_max - ww) ** 2
+    den = delta * np.sin(2.0 * u_max - ww) * np.sin(ww)
+    return 2.0 * w * np.sqrt(num / np.maximum(den, 1e-300))
+
+
 def _tail_integral(u_lo: np.ndarray, delta: float, u_max: float) -> np.ndarray:
     """Vectorized integral from u_lo to u_max after the w^2 substitution."""
+    x, wt = gauss_legendre(64)
     w_max = np.sqrt(np.maximum(u_max - u_lo, 0.0))
-    xn = 0.5 * (_GL64[0] + 1.0)
-    wt = 0.5 * _GL64[1]
-    w = w_max[:, None] * xn[None, :]
-    ww = w * w
-    u = u_max - ww
-    num = 1.0 - delta * np.cos(u) ** 2
-    den = delta * np.sin(2.0 * u_max - ww) * np.sin(ww)
-    g = 2.0 * w * np.sqrt(num / np.maximum(den, 1e-300))
-    return w_max * (g @ wt)
+    w = w_max[:, None] * (0.5 * (x + 1.0))[None, :]
+    return w_max * (_integrand(w, delta, u_max) @ (0.5 * wt))
 
 
 def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
@@ -220,16 +225,14 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
         return half - out[:u.size]
 
     # Predict each node in w = sqrt(u_max - u), where t(w) is smooth: linear
-    # interpolation in a 64-row table, then two Newton steps on dt/dw = -g,
-    # g the _tail_integral integrand at the node itself.
+    # interpolation in a 64-row table, then two Newton steps on
+    # dt/dw = -_integrand at the node itself.
     w_tab = np.linspace(math.sqrt(u_max), 0.0, 64)
     w = np.interp(t_half, t_of(u_max - w_tab ** 2), w_tab)
     for _ in range(2):
-        ww = w * w
-        g = 2.0 * w * np.sqrt((1.0 - delta * np.cos(u_max - ww) ** 2) / np.maximum(
-            delta * np.sin(2.0 * u_max - ww) * np.sin(ww), 1e-300))
+        g = _integrand(w, delta, u_max)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.clip(w + (t_of(u_max - ww) - t_half) / g, 0.0, w_tab[0])
+            w = np.clip(w + (t_of(u_max - w * w) - t_half) / g, 0.0, w_tab[0])
     # Bracket f = t(u) - t_i by stepping outward from the prediction x by
     # 1.6e-15*x*4^k until f changes sign.  A node whose prediction is not
     # finite, or whose search leaves (0, c_max), takes the full bracket.

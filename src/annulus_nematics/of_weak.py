@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Bracket, find_root, integrate_singular
+from .numerics import Bracket, find_root, gauss_legendre
 
 
 class PoleProximity(ArithmeticError):
@@ -73,6 +73,8 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
         raise ValueError("delta must lie in (0,1)")
     if alpha <= 0.0 or not 0.0 < b < 1.0:
         raise ValueError("alpha must be positive and b in (0,1)")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     length = math.log(1.0 / b)
     alpha_sq = _square(alpha)
     if k == 0:
@@ -158,6 +160,8 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
         raise ValueError("alpha must be positive")
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0,1)")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if k == 0:
         edges = _k0_pole_partition(alpha, b)
         return _smallest_root_in_cells(
@@ -186,6 +190,8 @@ def weak_eigenmode(r, delta: float, alpha: float, b: float):
     with mu = sqrt(delta/(1-delta)); satisfies both Robin conditions when
     delta is a root of the k=0 compatibility condition.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0,1)")
     if abs(alpha - delta) < 1e-12:
         raise DegenerateCoefficient("alpha - delta smaller than 1e-12")
     r = np.asarray(r, dtype=float)
@@ -236,24 +242,23 @@ def weak_pitchfork_coeffs(alpha: float, b: float) -> tuple[float, float]:
     mu = math.sqrt(d1 / (1.0 - d1))
     c = math.sqrt(d1 * (1.0 - d1)) / (alpha - d1)
 
-    def eta(x):
-        return np.sin(mu * x) + c * np.cos(mu * x)
-
-    def eta_x(x):
-        return mu * np.cos(mu * x) - c * mu * np.sin(mu * x)
-
-    # bulk quadratures in x = log(1/r); measure r dr collapses to dx
-    i_a = integrate_singular(
-        lambda x: eta(x) * (-(1.0 + mu * mu) * eta(x)), 0.0, length, tol=1e-12)
-    i_b = integrate_singular(
-        lambda x: eta(x) ** 2 * eta_x(x) ** 2
-        - mu * mu * eta(x) ** 4 - (2.0 / 3.0) * eta(x) ** 4,
-        0.0, length, tol=1e-12)
+    # bulk quadratures in x = log(1/r); measure r dr collapses to dx.  The
+    # integrands are trigonometric polynomials of frequency at most 4 mu, and
+    # mu log(1/b) stays below its strong-anchoring value pi, so the 64-point
+    # rule integrates them to round-off
+    xg, wg = gauss_legendre(64)
+    x = 0.5 * length * (xg + 1.0)
+    wt = 0.5 * length * wg
+    eta = np.sin(mu * x) + c * np.cos(mu * x)
+    eta_x = mu * np.cos(mu * x) - c * mu * np.sin(mu * x)
+    i_a = float((eta * (-(1.0 + mu * mu) * eta)) @ wt)
+    i_b = float((eta ** 2 * eta_x ** 2 - mu * mu * eta ** 4
+                 - (2.0 / 3.0) * eta ** 4) @ wt)
 
     # boundary contributions; r*deta/dr = -deta/dx
     s1, t1 = c, -mu
-    sb = float(eta(length))
-    tb = float(-eta_x(length))
+    sb = math.sin(mu * length) + c * math.cos(mu * length)
+    tb = -(mu * math.cos(mu * length) - c * mu * math.sin(mu * length))
     b_a = s1 * (s1 + t1) - sb * (sb + tb)
     b_b = (2.0 / 3.0) * s1 ** 4 * (alpha - d1) - d1 * s1 ** 3 * t1 \
         + (2.0 / 3.0) * sb ** 4 * (alpha * b + d1) + d1 * sb ** 3 * tb

@@ -72,6 +72,12 @@ def sine_profile(r, b, coefs):
     return GridFunction(r, v)
 
 
+def test_params_reject_negative_or_nan_t():
+    for t in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            LdGParams(t)
+
+
 class TestSolveS:
     def test_zero_t_closed_form(self):
         b = 0.5

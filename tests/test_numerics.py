@@ -10,16 +10,13 @@ from annulus_nematics.numerics import (
     NewtonDiverged,
     NoSignChange,
     find_root,
-    integrate_singular,
     min_eigenvalue,
     solve_bvp,
 )
 
-# Frozen oracle values (independent high-precision routes, see test repo notes):
-#   root of tan(x)+x on [2,3]      -> plain bisection to 1e-12
-#   int_0^1 du/sqrt(cos u - cos 1) -> tanh-sinh at 50 digits, two parametrizations
+# Frozen oracle value (independent high-precision route, see test repo notes):
+#   root of tan(x)+x on [2,3] -> plain bisection to 1e-12
 TAN_ROOT = 2.0287578381104342
-COS_SINGULAR_INTEGRAL = 2.3687991130305955
 
 
 class TestFindRoot:
@@ -48,36 +45,6 @@ class TestFindRoot:
         r = find_root(f, Bracket(lo, hi), tol=1e-10)
         assert lo <= r <= hi
         assert abs(r - root) < 1e-9
-
-
-class TestIntegrateSingular:
-    def test_inverse_sqrt_exact(self):
-        # antiderivative of 1/sqrt(1-u) gives exactly 2
-        val = integrate_singular(lambda u: 1.0 / np.sqrt(1.0 - u), 0.0, 1.0,
-                                 singularity="upper", tol=1e-10)
-        assert abs(val - 2.0) < 1e-10
-
-    def test_cos_singularity(self):
-        f = lambda u: 1.0 / np.sqrt(np.cos(u) - np.cos(1.0))
-        val = integrate_singular(f, 0.0, 1.0, singularity="upper", tol=1e-10)
-        assert abs(val - COS_SINGULAR_INTEGRAL) < 1e-9
-
-    def test_smooth_polynomial(self):
-        val = integrate_singular(lambda u: u * u, 0.0, 1.0, tol=1e-12)
-        assert abs(val - 1.0 / 3.0) < 1e-12
-
-    def test_lower_flag(self):
-        val = integrate_singular(lambda u: 1.0 / np.sqrt(u), 0.0, 4.0,
-                                 singularity="lower", tol=1e-10)
-        assert abs(val - 4.0) < 1e-9
-
-    @given(c0=st.floats(0.1, 5.0), c2=st.floats(-3.0, 3.0))
-    @settings(deadline=None, max_examples=40)
-    def test_symmetric_integrand_halves(self, c0, c2):
-        f = lambda u: c0 + c2 * (u - 1.0) ** 2
-        whole = integrate_singular(f, 0.0, 2.0, tol=1e-12)
-        half = integrate_singular(f, 0.0, 1.0, tol=1e-12)
-        assert abs(whole - 2.0 * half) < 1e-10
 
 
 class TestSolveBvp:

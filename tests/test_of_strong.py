@@ -113,6 +113,11 @@ class TestClosedForms:
             assert abs(eigenmode(b, 1, 1.0)) < 1e-12
             assert abs(eigenmode(b, 1, math.sqrt(b)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("b, n", [(0.5, 0), (0.5, -1), (1.5, 1), (0.0, 1)])
+    def test_eigenmode_rejects_out_of_domain(self, b, n):
+        with pytest.raises(ValueError, match="radius ratio|mode index"):
+            eigenmode(b, n, 0.7)
+
     def test_eigenmode_satisfies_euler_ode(self):
         # r f' + r^2 f'' + delta/(1-delta) f with analytic derivatives
         b, n = 0.35, 2

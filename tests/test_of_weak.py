@@ -76,6 +76,10 @@ class TestCompatResidual:
             d = delta_weak(alpha, b, 0)
             assert abs(compat_residual(d, alpha, b, 0)) < 1e-9
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            compat_residual(0.5, 0.5, 0.5, -1)
+
     def test_pole_proximity_raises(self):
         b = 0.5
         length = math.log(1.0 / b)
@@ -111,6 +115,11 @@ class TestCompatResidual:
 class TestDeltaWeak:
     def test_k1_closed_form_value(self):
         assert abs(delta_weak(0.5, 0.5, 1) - 19.0 / 24.0) < 1e-12
+
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_rejects_negative_order(self, k):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            delta_weak(0.5, 0.5, k)
 
     def test_k1_absent_above_one(self):
         assert delta_weak(1.5, 0.5, 1) is None
@@ -222,6 +231,11 @@ class TestWeakEigenmode:
         with pytest.raises(DegenerateCoefficient):
             weak_eigenmode(0.7, 0.6, 0.6, 0.5)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5])
+    def test_rejects_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
+            weak_eigenmode(0.7, delta, 2.0, 0.5)
+
 
 class TestStabilityRegion:
     def test_k0_curve_increases_to_strong_limit(self):
@@ -256,6 +270,23 @@ class TestWeakPitchfork:
         b = 0.5
         e1, e3 = weak_pitchfork_coeffs(1e6, b)
         assert abs(e3 / e1 - 0.5 * delta_n(b, 1)) < 0.05 * 0.5 * delta_n(b, 1)
+
+    def test_matches_extended_precision_reference(self):
+        # (alpha, b) -> (E1, E3) in 40-digit arithmetic, from the double
+        # delta_{1,0} that delta_weak returns; (0.05, 0.999) has nearly
+        # cancelling boundary terms
+        refs = {
+            (0.5, 0.5): (38.762695015792902159, 244.84451665659858656),
+            (2.0, 0.2): (2.5609513205180017804, 1.3656190084785420377),
+            (1e6, 0.5): (7.4659840313003552271, 3.5597066160630952477),
+            (0.05, 0.999): (0.10232490240211071413, 0.002016953375521832975),
+            (5.0, 1e-6): (6.6101918930751565958, 0.047576592331310847362),
+            (50.0, 0.95): (96.17168506134883704, 48.093529700025851412),
+        }
+        for (alpha, b), ref in refs.items():
+            got = weak_pitchfork_coeffs(alpha, b)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-13 * max(1.0, abs(r)), (alpha, b, g, r)
 
 
 def test_anchoring_params_validation():
