@@ -103,7 +103,7 @@ def eigenmode(b: float, n: int, r):
     """Neutral radial mode sin(pi n log r / log b), unit amplitude."""
     if not 0.0 < b < 1.0:
         raise ValueError("radius ratio must lie in (0,1)")
-    if n < 1:
+    if not (n >= 1 and float(n).is_integer()):
         raise ValueError("mode index must be a positive integer")
     r = np.asarray(r, dtype=float)
     out = np.sin(math.pi * n * np.log(r) / math.log(b))

@@ -33,7 +33,8 @@ class AnchoringParams:
     preferred_offset: float = math.pi / 2
 
     def __post_init__(self):
-        if self.alpha < 0.0:
+        # written so that nan fails it too
+        if not self.alpha >= 0.0:
             raise ValueError("anchoring strength must be nonnegative")
 
 
@@ -71,10 +72,10 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
-    if alpha <= 0.0 or not 0.0 < b < 1.0:
+    if not alpha > 0.0 or not 0.0 < b < 1.0:
         raise ValueError("alpha must be positive and b in (0,1)")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError("k must be nonnegative and an integer")
     length = math.log(1.0 / b)
     alpha_sq = _square(alpha)
     if k == 0:
@@ -156,12 +157,12 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
     hyperbolic condition, which exists only below the rational-term pole
     constraint, again requiring alpha < 1.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0,1)")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError("k must be nonnegative and an integer")
     if k == 0:
         edges = _k0_pole_partition(alpha, b)
         return _smallest_root_in_cells(
@@ -192,6 +193,10 @@ def weak_eigenmode(r, delta: float, alpha: float, b: float):
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
+    if not alpha >= 0.0:
+        raise ValueError("anchoring strength must be nonnegative")
+    if not 0.0 < b < 1.0:
+        raise ValueError("b must lie in (0,1)")
     if abs(alpha - delta) < 1e-12:
         raise DegenerateCoefficient("alpha - delta smaller than 1e-12")
     r = np.asarray(r, dtype=float)

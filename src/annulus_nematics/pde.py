@@ -136,6 +136,8 @@ class SolveReport:
     assemble_s: float = 0.0
     linear_solve_s: float = 0.0
     line_search_s: float = 0.0
+    # LU factors built; fewer than iterations when chord steps reuse one
+    factorizations: int = 0
 
 
 def defect_free_field(grid: PolarGrid,
@@ -352,7 +354,7 @@ class _NewtonSystem:
     permutation.  The annulus with Dirichlet circles and at most
     ``BAND_MAX_NPHI`` nodes per ring is numbered ring by ring, each ring in
     folded order (0, nphi-1, 1, nphi-2, ...) so that the seam neighbours
-    sit at most 2 apart, and factored by LAPACK ``gbsv`` with half-bandwidth
+    sit at most 2 apart, and factored by LAPACK ``gbtrf`` with half-bandwidth
     nphi + 2.  Any other annulus (Robin circles, whose one-sided rows
     couple three rings, or wider rings) keeps row-major numbering under
     SuperLU with minimum degree on A^T + A.  ``src`` maps the flat
@@ -433,7 +435,7 @@ class _NewtonSystem:
         """Residual vector and Jacobian in solve order from ``_residual`` r."""
         grid = self.grid
         hx, hp = grid.hx, grid.hp
-        res_grid, (t_x, t_p, s, c, beta, gamma), robin = r
+        _, (t_x, t_p, s, c, beta, gamma), robin = r
         a_coef = 1.0 - 0.5 * delta
         d_xx = a_coef + 0.5 * delta * c
         d_pp = a_coef - 0.5 * delta * c
@@ -445,7 +447,6 @@ class _NewtonSystem:
                   d_xx / hx ** 2 + d_p1, d_xx / hx ** 2 - d_p1,
                   d_pp / hp ** 2 + d_q1, d_pp / hp ** 2 - d_q1,
                   d_xp, d_xp, -d_xp, -d_xp]
-        rhs = res_grid.ravel()[self.order]
         if self.edge.size:
             for (rows, xw), (res_b, bt_x, surf) in zip(_CIRCLES, robin):
                 bs, bc_ = s[rows[0]], c[rows[0]]
@@ -455,32 +456,55 @@ class _NewtonSystem:
                 planes += [dg_dx * xw[0] / (2.0 * hx) + dg_dc,
                            dg_dx * xw[1] / (2.0 * hx), dg_dx * xw[2] / (2.0 * hx),
                            dg_dp, -dg_dp]
-            res_edge = np.concatenate([res_b for res_b, _, _ in robin])
-            rhs[self.edge] = res_edge[self.edge_src]
         import scipy.sparse
         data = np.concatenate([p.ravel() for p in planes])[self.src]
         jac = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                       shape=(self.n, self.n))
-        return rhs, jac
+        return self.rhs(r), jac
 
-    def newton_step(self, rhs, jac):
-        """The step -jac^-1 rhs in solve order, or None if jac is singular."""
+    def rhs(self, r):
+        """Residual vector in solve order from ``_residual`` r."""
+        res_grid, _, robin = r
+        rhs = res_grid.ravel()[self.order]
+        if self.edge.size:
+            res_edge = np.concatenate([res_b for res_b, _, _ in robin])
+            rhs[self.edge] = res_edge[self.edge_src]
+        return rhs
+
+    def factor(self, jac):
+        """LU factor of jac, or None if jac is singular.
+
+        Returns a function giving jac^-1 x in solve order, or None where
+        that is not finite.  The band factor lives in ``band``, so a band
+        solve function is valid until the next call.
+        """
         if self.band is None:
             import scipy.sparse.linalg
+            # jac.T is the CSC matrix on jac's arrays: SuperLU factors it
+            # and solves the transposed system, as spsolve does for CSR
             try:
-                step = scipy.sparse.linalg.spsolve(jac, -rhs,
-                                                   permc_spec=self.permc_spec)
+                lu = scipy.sparse.linalg.splu(jac.T, permc_spec=self.permc_spec)
             except RuntimeError:
                 return None
+
+            def solve(x):
+                return lu.solve(x, trans="T")
         else:
-            from scipy.linalg.lapack import dgbsv
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
             self.band.fill(0.0)
             np.put(self.band, self.band_pos, jac.data)
-            _, _, step, info = dgbsv(self.bw, self.bw, self.band.T, -rhs,
-                                     overwrite_ab=True, overwrite_b=True)
+            ab, piv, info = dgbtrf(self.band.T, self.bw, self.bw,
+                                   overwrite_ab=True)
             if info != 0:
                 return None
-        return step if np.all(np.isfinite(step)) else None
+
+            def solve(x):
+                return dgbtrs(ab, self.bw, self.bw, x, piv)[0]
+
+        def finite_solve(x):
+            y = solve(x)
+            return y if np.all(np.isfinite(y)) else None
+        return finite_solve
 
 
 def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
@@ -504,9 +528,19 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
 
 
 def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
-            tol: float = 1e-8, max_iter: int = 40, build_s: float = 0.0):
-    """``solve_el`` on a prebuilt system; ``build_s`` counts as assembly."""
-    import scipy.sparse.linalg   # newton_step's solvers, before the timers
+            tol: float = 1e-8, max_iter: int = 40, build_s: float = 0.0,
+            chord: bool = False):
+    """``solve_el`` on a prebuilt system; ``build_s`` counts as assembly.
+
+    With ``chord``, a full Newton step that cut the residual at least 10x
+    keeps its factor, and the next iteration first tries one undamped
+    step on it (a chord step; Kelley, *Iterative Methods for Linear and
+    Nonlinear Equations*, 1995, 5.4).  The chord step is taken if it
+    passes the energy guard and cuts the residual 10x too, and then keeps
+    the factor for the next; otherwise the factor is dropped and the
+    iteration factors afresh.
+    """
+    import scipy.sparse.linalg   # factor's solvers, before the timers
     grid, bc, active = system.grid, system.bc, system.active
     theta = init.theta.copy()
     # assemble, linear solve, line search
@@ -524,6 +558,13 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
         vals = np.concatenate([p.ravel() for p in pieces])
         return r, (float(vals.max()) if vals.size else 0.0)
 
+    def try_step(th, step, lam):
+        """The iterate th + lam * step, its energy, residual and norm."""
+        trial = th.copy()
+        trial.ravel()[system.order] += lam * step
+        return (trial, _energy_arrays(grid, trial, delta, 1.0),
+                *evaluate(trial))
+
     energy = _energy_arrays(grid, theta, delta, 1.0)
     history = [energy]
     # the quadrature energy and the collocation residual are consistent
@@ -532,33 +573,54 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
     # are still rejected
     slack = 0.1 * (grid.hx ** 2 + grid.hp ** 2) * (1.0 + abs(energy))
     damping_events = 0
+    factorizations = 0
     n_iter = 0
+    kept = None     # the factor a chord step may reuse
     r, rnorm = evaluate(theta)
     while rnorm > tol and n_iter < max_iter:
-        t0 = time.perf_counter()
-        rhs, jac = system.assemble(r, delta)
-        t1 = time.perf_counter()
-        step = system.newton_step(rhs, jac)
-        t2 = time.perf_counter()
-        times[0] += t1 - t0
-        times[1] += t2 - t1
+        ceiling = energy + slack
         accepted = False
-        if step is not None:
-            lam = 1.0
-            while lam >= 1e-4:
-                trial = theta.copy()
-                trial.ravel()[system.order] += lam * step
-                e_try = _energy_arrays(grid, trial, delta, 1.0)
-                r_try, rnorm_try = evaluate(trial)
-                if e_try <= energy + slack \
-                        and (rnorm_try < rnorm or e_try < energy - 1e-14):
+        if kept is not None:
+            t0 = time.perf_counter()
+            step = kept(-system.rhs(r))
+            t1 = time.perf_counter()
+            if step is not None:
+                trial, e_try, r_try, rnorm_try = try_step(theta, step, 1.0)
+                if e_try <= ceiling and rnorm_try <= 0.1 * rnorm:
                     theta, energy, r, rnorm = trial, e_try, r_try, rnorm_try
                     history.append(energy)
                     accepted = True
-                    break
-                lam *= 0.5
-                damping_events += 1
-            times[2] += time.perf_counter() - t2
+            times[1] += t1 - t0
+            times[2] += time.perf_counter() - t1
+            if not accepted:
+                # released before the next factor is built
+                kept = None
+        if not accepted:
+            t0 = time.perf_counter()
+            rhs, jac = system.assemble(r, delta)
+            t1 = time.perf_counter()
+            solve = system.factor(jac)
+            factorizations += 1
+            step = None if solve is None else solve(-rhs)
+            t2 = time.perf_counter()
+            times[0] += t1 - t0
+            times[1] += t2 - t1
+            if step is not None:
+                lam = 1.0
+                while lam >= 1e-4:
+                    trial, e_try, r_try, rnorm_try = try_step(theta, step, lam)
+                    if e_try <= ceiling \
+                            and (rnorm_try < rnorm or e_try < energy - 1e-14):
+                        if chord and lam == 1.0 and rnorm_try <= 0.1 * rnorm:
+                            kept = solve
+                        theta, energy, r, rnorm = trial, e_try, r_try, rnorm_try
+                        history.append(energy)
+                        accepted = True
+                        break
+                    lam *= 0.5
+                    damping_events += 1
+                times[2] += time.perf_counter() - t2
+            solve = None
         if not accepted:
             # relaxation fallback: damped explicit sweeps along the
             # steepest residual direction, still energy-monotone
@@ -580,13 +642,13 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
                         break
             if not improved:
                 report = SolveReport(n_iter, rnorm, damping_events, False,
-                                     history, *times)
+                                     history, *times, factorizations)
                 raise NewtonDiverged(f"stalled at residual {rnorm:.3e}",
                                      [report])
         n_iter += 1
     converged = rnorm <= tol
     report = SolveReport(n_iter, rnorm, damping_events, converged, history,
-                         *times)
+                         *times, factorizations)
     if not converged:
         raise NewtonDiverged(f"no convergence after {n_iter} iterations "
                              f"(residual {rnorm:.3e})", [report])
@@ -601,9 +663,10 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
     radial mode; below the critical anisotropy the perturbation decays
     back (amplitude ~ 0), above it the branch settles on the spiral state
     whose amplitude grows like sqrt(delta - delta_1).  A seed inside the
-    unstable well would steer Newton toward the defect-free saddle, which
-    the energy guard rejects; the scan then retries with the deviation
-    amplified until the solve lands on the stable branch.
+    unstable well would steer Newton toward the defect-free saddle, so a
+    solve that ends above the energy of its seeded start is rejected; the
+    scan then retries with the deviation amplified until the solve lands
+    on the stable branch.
     """
     for d in delta_values:
         _check_anisotropy(d)
@@ -619,9 +682,17 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
             theta0 = pp + 0.5 * math.pi + boost * seed_amplitude * mode
             init = DirectorField(grid, theta0, system.bc)
             try:
-                fld, _ = _newton(system, float(d), init)
+                fld, rep = _newton(system, float(d), init)
             except NewtonDiverged as exc:
                 err = exc
+                continue
+            if rep.energy_history[-1] > rep.energy_history[0]:
+                # each step may climb by the guard's allowance, and many
+                # such steps can reach the saddle (or another critical
+                # point) above the seeded state: not the stable branch
+                err = NewtonDiverged(f"solve at delta={d:.6g} climbed from "
+                                     f"energy {rep.energy_history[0]:.6g} to "
+                                     f"{rep.energy_history[-1]:.6g}", [rep])
                 continue
             amp = float(np.max(np.abs(fld.theta - (pp + 0.5 * math.pi))))
             break
@@ -678,6 +749,7 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     fails within ``CONTINUATION_ITER`` Newton iterations is halved, and a
     success doubles the next (Allgower and Georg, *Numerical Continuation
     Methods*, 1990, ch. 2); below ``CONTINUATION_MIN_STEP`` it gives up.
+    Every step runs on one Newton system and takes chord steps.
     """
     if not 0.0 < eps < b / 4.0:
         raise ValueError("core radius must lie in (0, b/4)")
@@ -701,13 +773,14 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     pin = corner_pin_mask(grid, 0.5 * eps1)
     bc = BoundaryConditions(pin_mask=pin)
     current = DirectorField(grid, fld.theta, bc)
+    system = _NewtonSystem(grid, bc)
     # fractions of delta, reached and next tried: sums of powers of two
     done, step, reports = 0.0, 1.0, []
     while done < 1.0:
         target = done + step
         try:
-            current, rep = solve_el(grid, target * delta, bc, current,
-                                    max_iter=CONTINUATION_ITER)
+            current, rep = _newton(system, target * delta, current,
+                                   max_iter=CONTINUATION_ITER, chord=True)
         except NewtonDiverged as exc:
             reports += exc.history
             step *= 0.5

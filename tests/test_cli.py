@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import annulus_nematics
 from annulus_nematics.cli import fmt17, load_field_csv, main, read_table
-from annulus_nematics.of_strong import delta_n
+from annulus_nematics.of_strong import delta_n, spiral_solve
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(annulus_nematics.__file__).resolve().parents[1]
@@ -221,6 +221,7 @@ class TestPdeSolve:
         # stderr carries the JSON solve report, phase timings included
         report = json.loads(res.stderr.splitlines()[0])
         assert report["converged"] and report["iterations"] == 0
+        assert report["factorizations"] == 0
         for key in ("assemble_s", "linear_solve_s", "line_search_s"):
             assert report[key] >= 0.0
 
@@ -299,6 +300,24 @@ class TestBifurcation:
         assert cols == ["x", "y", "k"]
         assert data[0, 1] < 1e-6
         assert data[-1, 1] > 0.05
+
+    def test_far_above_critical_rows_follow_spiral(self, runner, tmp_path):
+        # the last two rows of --delta-min 0.5 --delta-max 0.99 --steps 20;
+        # every row is solved from its own seed, so a two-row scan gives
+        # the same values.  The first solves climb, step by step within the
+        # energy allowance, to other critical points (amplitudes 1.2e-10
+        # and 0.2026), which the scan must reject
+        out = tmp_path / "bf.csv"
+        lo, hi = np.linspace(0.5, 0.99, 20)[-2:]
+        res = runner.invoke(main, ["bifurcation", "--b", "0.2",
+                                   "--delta-min", fmt17(lo),
+                                   "--delta-max", fmt17(hi),
+                                   "--steps", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        _, _, data = read_table(str(out))
+        assert list(data[:, 0]) == [lo, hi]
+        for d, amp in data[:, :2]:
+            assert abs(amp - spiral_solve(d, 0.2).u_max) < 1e-3
 
     @pytest.mark.parametrize("args", [
         ["--delta-min", "0.9", "--delta-max", "1.2", "--nr", "33"],

@@ -113,7 +113,8 @@ class TestClosedForms:
             assert abs(eigenmode(b, 1, 1.0)) < 1e-12
             assert abs(eigenmode(b, 1, math.sqrt(b)) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("b, n", [(0.5, 0), (0.5, -1), (1.5, 1), (0.0, 1)])
+    @pytest.mark.parametrize("b, n", [(0.5, 0), (0.5, -1), (1.5, 1), (0.0, 1),
+                                      (0.5, 1.5)])
     def test_eigenmode_rejects_out_of_domain(self, b, n):
         with pytest.raises(ValueError, match="radius ratio|mode index"):
             eigenmode(b, n, 0.7)

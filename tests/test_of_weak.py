@@ -80,6 +80,14 @@ class TestCompatResidual:
         with pytest.raises(ValueError, match="k must be nonnegative"):
             compat_residual(0.5, 0.5, 0.5, -1)
 
+    def test_rejects_non_integer_order(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            compat_residual(0.5, 0.5, 0.5, 1.5)
+
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            compat_residual(0.5, math.nan, 0.5, 0)
+
     def test_pole_proximity_raises(self):
         b = 0.5
         length = math.log(1.0 / b)
@@ -120,6 +128,17 @@ class TestDeltaWeak:
     def test_rejects_negative_order(self, k):
         with pytest.raises(ValueError, match="k must be nonnegative"):
             delta_weak(0.5, 0.5, k)
+
+    @pytest.mark.parametrize("k", [1.5, 0.5, math.nan])
+    def test_rejects_non_integer_order(self, k):
+        # k = 1.5 used to return 0.8899 from the k >= 2 branch
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            delta_weak(0.5, 0.5, k)
+
+    def test_rejects_nan_alpha(self):
+        # nan used to report "no critical anisotropy" (None)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            delta_weak(math.nan, 0.5, 0)
 
     def test_k1_absent_above_one(self):
         assert delta_weak(1.5, 0.5, 1) is None
@@ -236,6 +255,17 @@ class TestWeakEigenmode:
         with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
             weak_eigenmode(0.7, delta, 2.0, 0.5)
 
+    @pytest.mark.parametrize("alpha, b, match", [
+        (-1.0, 0.5, "anchoring strength"),
+        (math.nan, 0.5, "anchoring strength"),
+        (2.0, 7.0, r"b must lie in \(0,1\)"),
+        (2.0, 0.0, r"b must lie in \(0,1\)"),
+        (2.0, math.nan, r"b must lie in \(0,1\)"),
+    ], ids=["negative_alpha", "nan_alpha", "b_above_one", "b_zero", "nan_b"])
+    def test_rejects_parameters_outside_domain(self, alpha, b, match):
+        with pytest.raises(ValueError, match=match):
+            weak_eigenmode(0.7, 0.5, alpha, b)
+
 
 class TestStabilityRegion:
     def test_k0_curve_increases_to_strong_limit(self):
@@ -293,3 +323,8 @@ def test_anchoring_params_validation():
     AnchoringParams(0.0)
     with pytest.raises(ValueError):
         AnchoringParams(-1.0)
+
+
+def test_anchoring_params_reject_nan():
+    with pytest.raises(ValueError, match="anchoring strength"):
+        AnchoringParams(math.nan)

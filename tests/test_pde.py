@@ -206,6 +206,27 @@ class TestBifurcation:
         with pytest.raises(SingularAnisotropy):
             bifurcation_scan(0.2, [0.5, math.nan], 0.3)
 
+    def test_climbing_solves_are_rejected(self, monkeypatch):
+        # a stub whose every solve ends above its starting energy
+        boosts = []
+
+        def stub(system, delta, init, **kw):
+            boosts.append(init.theta)
+            return init, SolveReport(1, 0.0, 0, True, [1.0, 1.5])
+
+        monkeypatch.setattr(pde, "_newton", stub)
+        with pytest.raises(NewtonDiverged, match="climbed from energy 1 to 1.5"):
+            bifurcation_scan(0.2, [0.9], 0.3, nr=33)
+        assert len(boosts) == 5
+
+    def test_exact_newton_factors_every_iteration(self, monkeypatch):
+        attempts = spy_on_newton(monkeypatch)
+        d1 = delta_n(0.2, 1)
+        bifurcation_scan(0.2, [d1 - 0.02, d1 + 0.01], 0.3, nr=129)
+        assert len(attempts) >= 2
+        assert all(rep.iterations > 0 and rep.factorizations == rep.iterations
+                   for _, rep in attempts)
+
     def test_square_root_scaling(self):
         b = 0.2
         d1 = delta_n(b, 1)
@@ -339,20 +360,23 @@ def strong_energies():
             for kind in ("U1", "U2", "U3", "D")}
 
 
-def spy_on_solve_el(monkeypatch):
-    """Record (delta, report) of every solve_el attempt, failed ones too."""
-    real, attempts = pde.solve_el, []
+def spy_on_newton(monkeypatch, **force):
+    """Record (delta, report) of every ``_newton`` solve, failed ones too.
 
-    def spy(grid, delta, bc, init, **kw):
+    Keyword arguments in ``force`` override the caller's.
+    """
+    real, attempts = pde._newton, []
+
+    def spy(system, delta, init, **kw):
         try:
-            fld, rep = real(grid, delta, bc, init, **kw)
+            fld, rep = real(system, delta, init, **{**kw, **force})
         except NewtonDiverged as exc:
             attempts.append((delta, exc.history[0]))
             raise
         attempts.append((delta, rep))
         return fld, rep
 
-    monkeypatch.setattr(pde, "solve_el", spy)
+    monkeypatch.setattr(pde, "_newton", spy)
     return attempts
 
 
@@ -373,7 +397,7 @@ class TestAnisotropicEnergy:
 
     def test_failed_full_step_is_halved(self, monkeypatch):
         # Newton diverges straight at delta=0.99 from the harmonic U1 state
-        attempts = spy_on_solve_el(monkeypatch)
+        attempts = spy_on_newton(monkeypatch)
         e = anisotropic_state_energy(0.27, 1, "U1", 0.99, 0.002, nr=97)
         assert math.isfinite(e)
         assert attempts[0][0] == 0.99 and not attempts[0][1].converged
@@ -387,14 +411,14 @@ class TestAnisotropicEnergy:
         # 0.3 until the next would be below the floor
         attempts = []
 
-        def stub(grid, delta, bc, init, **kw):
+        def stub(system, delta, init, **kw):
             rep = SolveReport(1, 0.0, 0, delta <= 0.3)
             attempts.append((delta, rep))
             if not rep.converged:
                 raise NewtonDiverged("stub failure", [rep])
             return init, rep
 
-        monkeypatch.setattr(pde, "solve_el", stub)
+        monkeypatch.setattr(pde, "_newton", stub)
         with pytest.raises(NewtonDiverged) as info:
             anisotropic_state_energy(0.3, 2, "U2", 0.9, 0.002, nr=97)
         assert len(info.value.history) == len(attempts)
@@ -404,6 +428,19 @@ class TestAnisotropicEnergy:
         assert f"stalled at delta={reached:.6g} " in str(info.value)
         assert math.isclose(attempts[-1][0] - reached,
                             0.9 * pde.CONTINUATION_MIN_STEP, rel_tol=1e-12)
+
+    def test_chord_steps_keep_the_energy(self, monkeypatch):
+        args = (0.45, 2, "U2", 0.9, 0.002)
+        attempts = spy_on_newton(monkeypatch)
+        e = anisotropic_state_energy(*args, nr=97)
+        # the continuation reuses factors: fewer than one per iteration
+        assert sum(rep.factorizations for _, rep in attempts) \
+            < sum(rep.iterations for _, rep in attempts)
+        monkeypatch.undo()
+        exact = spy_on_newton(monkeypatch, chord=False)
+        ref = anisotropic_state_energy(*args, nr=97)
+        assert all(rep.factorizations == rep.iterations for _, rep in exact)
+        assert abs(e - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(eps=-0.002), "core radius"),
@@ -803,7 +840,7 @@ class TestNewtonSystem:
         active = active_nodes(grid, bc)
         system = _NewtonSystem(grid, bc, active)
         rhs, jac = assemble(system, states[0], delta)
-        step = system.newton_step(rhs, jac)
+        step = system.factor(jac)(-rhs)
         ref_rhs, ref_jac = reference_assembly(grid, states[0], delta, bc, active)
         ref_step = np.zeros(grid.nr * grid.nphi)
         ref_step[active.ravel()] = scipy.sparse.linalg.spsolve(ref_jac, -ref_rhs)
@@ -832,20 +869,20 @@ class TestLinearSolvePaths:
     def test_band_only_on_narrow_dirichlet_annulus(self, monkeypatch, nphi, bc,
                                                    banded):
         calls = []
-        spsolve = scipy.sparse.linalg.spsolve
+        splu = scipy.sparse.linalg.splu
 
         def spy(*args, **kwargs):
             calls.append(kwargs["permc_spec"])
-            return spsolve(*args, **kwargs)
+            return splu(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spy)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         system, _, (rhs, jac) = annulus_system(nphi, bc)
-        step = system.newton_step(rhs, jac)
+        step = system.factor(jac)(-rhs)
         assert (system.band is not None) == banded
         assert calls == ([] if banded else ["MMD_AT_PLUS_A"])
         if not banded:
             assert np.array_equal(system.order, np.sort(system.order))
-        ref = spsolve(jac, -rhs)
+        ref = scipy.sparse.linalg.spsolve(jac, -rhs)
         assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_band_gives_no_step(self):
@@ -853,7 +890,7 @@ class TestLinearSolvePaths:
         jac.data[:] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert system.newton_step(rhs, jac) is None
+            assert system.factor(jac) is None
 
     def test_singular_band_relaxes(self, monkeypatch):
         assemble_csr = _NewtonSystem.assemble
@@ -880,6 +917,28 @@ class TestLinearSolvePaths:
         assert len(rep.energy_history) > 1
         assert np.all(np.diff(rep.energy_history) <= 1e-14)
 
+    def test_singular_sector_factor_relaxes_under_chord(self, monkeypatch):
+        assemble_csr = _NewtonSystem.assemble
+
+        def zeroed(self, r, delta):
+            rhs, jac = assemble_csr(self, r, delta)
+            jac.data[:] = 0.0
+            return rhs, jac
+
+        monkeypatch.setattr(_NewtonSystem, "assemble", zeroed)
+        grid = PolarGrid.sector(0.4, 4, 33, 33)
+        bc = BoundaryConditions(pin_mask=corner_pin_mask(grid, 0.1))
+        theta = sector_state_field(grid, state_coefficients("U2", 4)).theta
+        system = _NewtonSystem(grid, bc)
+        with pytest.raises(NewtonDiverged) as info:
+            pde._newton(system, 0.6, DirectorField(grid, theta, bc),
+                        max_iter=2, chord=True)
+        rep = info.value.history[0]
+        assert rep.iterations == 2 and rep.factorizations == 2
+        assert not rep.converged and rep.line_search_s == 0.0
+        assert len(rep.energy_history) > 1
+        assert np.all(np.diff(rep.energy_history) <= 1e-14)
+
 
 class TestSolveReport:
     def setup_method(self):
@@ -898,6 +957,10 @@ class TestSolveReport:
         assert rep.assemble_s > 0 and rep.linear_solve_s > 0
         assert rep.line_search_s > 0
         assert rep.assemble_s + rep.linear_solve_s + rep.line_search_s < elapsed
+
+    def test_exact_newton_factors_every_iteration(self):
+        _, rep = solve_el(self.grid, 0.6, self.bc, self.init)
+        assert rep.iterations > 1 and rep.factorizations == rep.iterations
 
     def test_diverged_report_carries_timings(self):
         with pytest.raises(NewtonDiverged) as info:
