@@ -125,10 +125,9 @@ class _SolverGroup(click.Group):
         try:
             return super().invoke(ctx)
         except NewtonDiverged as exc:
-            report = exc.history[0] if exc.history else None
             payload = {"error": str(exc)}
-            if dataclasses.is_dataclass(report):
-                payload["report"] = _report_dict(report)
+            if exc.history:
+                payload["report"] = _report_dict(exc.history[0])
             click.echo(json.dumps(payload), err=True)
             sys.exit(3)
 

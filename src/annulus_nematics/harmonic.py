@@ -37,9 +37,10 @@ class QuadratureBudget(RuntimeError):
 
 
 def _check_sector(N: int, b: float) -> None:
-    """Reject a sector count below 1 or a radius ratio outside (0,1)."""
-    if N < 1:
-        raise ValueError("sector count must be at least 1")
+    """Reject a sector count that is not a positive integer or a radius
+    ratio outside (0,1)."""
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError("sector count must be a positive integer")
     if not 0.0 < b < 1.0:
         raise ValueError("radius ratio must lie in (0,1)")
 
@@ -82,8 +83,8 @@ def state_coefficients(kind: str, N: int, full_annulus: bool = True) -> DefectSt
     """
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}")
-    if N < 1:
-        raise ValueError("sector count must be positive")
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError("sector count must be a positive integer")
     if full_annulus and kind in ("U3", "D") and N % 2 == 1:
         raise InvalidTiling(f"{kind} tiles the annulus only for even N "
                             "(odd N would superpose opposite defects)")

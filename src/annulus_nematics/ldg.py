@@ -38,8 +38,10 @@ class LdGParams:
     t: float
 
     def __post_init__(self):
-        if not self.t >= 0.0:
-            raise ValueError("t must be nonnegative")
+        # nan fails it too, and so does inf, which the t-continuation
+        # could never halve down to its start
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError("t must be nonnegative and finite")
 
 
 @dataclass
@@ -175,8 +177,8 @@ def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
     components) against the order profile s, by Simpson quadrature on the
     shared grid.
     """
-    if n < 0:
-        raise ValueError("block index must be nonnegative")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError("block index must be a nonnegative integer")
     from scipy.integrate import simpson
     r = s.profile.nodes
     for p in (a, b_fn, c, d):
@@ -208,8 +210,8 @@ def min_eig_Ln(n: int, b: float, params: LdGParams, n_nodes: int = 401) -> float
     both components.  Only the sign is contractual: positive means no
     admissible perturbation of this order lowers the energy.
     """
-    if n < 0:
-        raise ValueError("block index must be nonnegative")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError("block index must be a nonnegative integer")
     s = solve_s(b, params, n_nodes=n_nodes)
     r = s.profile.nodes
     sv = s.profile.values

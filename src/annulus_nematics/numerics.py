@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,10 +20,34 @@ class NoSignChange(ValueError):
     """The root bracket does not straddle a sign change."""
 
 
-class NewtonDiverged(RuntimeError):
-    """Damped Newton stalled.  ``history`` records the step dampings used."""
+# max-norm residual at which the damped Newton solvers stop
+NEWTON_TOL = 1e-8
 
-    def __init__(self, message: str, history: Optional[Sequence[float]] = None):
+
+@dataclass
+class SolveReport:
+    """What one damped Newton solve did; only the PDE solver times phases
+    and records energies."""
+
+    iterations: int
+    final_residual: float
+    damping_events: int
+    converged: bool
+    energy_history: list = field(default_factory=list)
+    # seconds summed over the solve
+    assemble_s: float = 0.0
+    linear_solve_s: float = 0.0
+    line_search_s: float = 0.0
+    # LU factors built; fewer than iterations when chord steps reuse one
+    factorizations: int = 0
+
+
+class NewtonDiverged(RuntimeError):
+    """Damped Newton stalled.  ``history`` holds the ``SolveReport`` of each
+    failed solve, the first one first."""
+
+    def __init__(self, message: str,
+                 history: Optional[Sequence[SolveReport]] = None):
         super().__init__(message)
         self.history = list(history or [])
 
@@ -57,9 +81,7 @@ class GridFunction:
 
 
 def find_root(residual: Callable[[float], float],
-              bracket: Bracket | tuple[float, float],
-              tol: float = 1e-12,
-              max_iter: int = 300) -> float:
+              bracket: Bracket, tol: float = 1e-12) -> float:
     """Hybrid bisection/secant root of ``residual`` inside ``bracket``.
 
     The bracket is maintained throughout, so the returned point always lies
@@ -67,8 +89,6 @@ def find_root(residual: Callable[[float], float],
     strictly inside the current bracket, otherwise the step bisects.
     Terminates once the bracket width is at most ``tol``.
     """
-    if isinstance(bracket, tuple):
-        bracket = Bracket(*bracket)
     lo, hi = float(bracket.lo), float(bracket.hi)
     flo, fhi = residual(lo), residual(hi)
     if flo == 0.0:
@@ -78,7 +98,7 @@ def find_root(residual: Callable[[float], float],
     if np.sign(flo) == np.sign(fhi):
         raise NoSignChange(f"residual({lo})={flo:g} and residual({hi})={fhi:g} "
                            "have the same sign")
-    for _ in range(max_iter):
+    for _ in range(300):     # each pass at least halves the bracket
         if hi - lo <= tol:
             break
         width = hi - lo
@@ -119,14 +139,14 @@ def solve_bvp(ode_rhs: Callable,
               boundary_left: float, boundary_right: float,
               interval: tuple[float, float], n_nodes: int,
               init: Optional[GridFunction] = None,
-              tol: float = 1e-8, max_iter: int = 60) -> GridFunction:
+              max_iter: int = 60) -> GridFunction:
     """Solve y'' = ode_rhs(x, y, y') with Dirichlet values at both ends.
 
     Second-order central finite differences on a uniform grid, damped
     Newton iteration (step halving until the residual decreases).  The
     right-hand side must act elementwise on arrays.  Returns the solution
     as a :class:`GridFunction`; the finite-difference residual at interior
-    nodes is below ``tol`` in max norm, or below its rounding floor
+    nodes is below ``NEWTON_TOL`` in max norm, or below its rounding floor
     4 eps max|y| / h^2 where that is larger, and the boundary values are
     exact.
 
@@ -134,7 +154,7 @@ def solve_bvp(ode_rhs: Callable,
     ------
     NewtonDiverged
         If the residual stalls or is not finite; the exception carries the
-        damping history.
+        ``SolveReport``.
     """
     if n_nodes < 16:
         raise ValueError("n_nodes must be at least 16")
@@ -161,9 +181,13 @@ def solve_bvp(ode_rhs: Callable,
         # the second difference cannot resolve residuals below its
         # rounding floor, a few ulps of y over h^2
         floor = 4.0 * np.finfo(float).eps * float(np.max(np.abs(yv))) / h ** 2
-        return max(tol, floor)
+        return max(NEWTON_TOL, floor)
 
-    history = []
+    def diverged(message):
+        report = SolveReport(iterations, rnorm, damping_events, False)
+        return NewtonDiverged(message, [report])
+
+    iterations = damping_events = 0
     res = residual(y)
     rnorm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
@@ -186,7 +210,7 @@ def solve_bvp(ode_rhs: Callable,
         ab[1, :] = diag
         ab[2, :-1] = lower[1:]
         if not (math.isfinite(rnorm) and np.isfinite(ab).all()):
-            raise NewtonDiverged("non-finite residual or Jacobian", history)
+            raise diverged("non-finite residual or Jacobian")
         step = scipy.linalg.solve_banded((1, 1), ab, -res)
         lam = 1.0
         while lam >= 1e-12:
@@ -197,14 +221,15 @@ def solve_bvp(ode_rhs: Callable,
             if rnorm_try < rnorm:
                 break
             lam *= 0.5
+            damping_events += 1
         else:
-            raise NewtonDiverged("residual stalled under damping", history)
-        history.append(lam)
+            raise diverged("residual stalled under damping")
+        iterations += 1
         y, res, rnorm = y_try, res_try, rnorm_try
     if rnorm <= stop(y):
         return GridFunction(x, y)
-    raise NewtonDiverged(f"no convergence after {max_iter} iterations "
-                         f"(residual {rnorm:.3e})", history)
+    raise diverged(f"no convergence after {max_iter} iterations "
+                   f"(residual {rnorm:.3e})")
 
 
 def min_eigenvalue(band: np.ndarray, mass: np.ndarray) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,24 +29,14 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class AnnulusGeometry:
-    """Annulus with outer radius rescaled to 1.
-
-    ``b`` is the inner-to-outer radius ratio, ``n_sectors`` an optional
-    sector count for tiled configurations, ``eps`` an optional defect-core
-    radius used when regularizing corner defects.
-    """
+    """Annulus with outer radius rescaled to 1; ``b`` is the inner-to-outer
+    radius ratio."""
 
     b: float
-    n_sectors: Optional[int] = None
-    eps: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.b < 1.0:
             raise ValueError(f"radius ratio must lie in (0,1), got {self.b}")
-        if self.n_sectors is not None and self.n_sectors < 1:
-            raise ValueError("sector count must be a positive integer")
-        if self.eps is not None and not 0.0 < self.eps < self.b / 4.0:
-            raise ValueError("core radius must lie in (0, b/4)")
 
 
 @dataclass(frozen=True)
@@ -60,8 +49,9 @@ class ElasticParams:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"anisotropy must lie in [0,1], got {self.delta}")
-        if self.k3 <= 0.0:
-            raise ValueError("bend constant must be positive")
+        # written so that nan fails it too
+        if not 0.0 < self.k3 < math.inf:
+            raise ValueError("bend constant must be positive and finite")
 
     @property
     def k1(self) -> float:
@@ -93,7 +83,7 @@ def delta_n(b: float, n: int) -> float:
     """
     if not 0.0 < b < 1.0:
         raise ValueError("radius ratio must lie in (0,1)")
-    if n < 1:
+    if not (n >= 1 and float(n).is_integer()):
         raise ValueError("mode index must be a positive integer")
     p = (math.pi * n) ** 2
     return p / (p + math.log(b) ** 2)
@@ -132,6 +122,8 @@ def pitchfork_amplitude(delta: float, b: float) -> float:
     anisotropy; the bifurcation is supercritical, so the branch only exists
     for delta > delta_1.
     """
+    if not delta <= 1.0:
+        raise ValueError(f"anisotropy must lie in [0,1], got {delta}")
     d1 = delta_n(b, 1)
     if delta <= d1:
         raise SubcriticalInput(f"delta={delta} is at or below delta_1={d1}")

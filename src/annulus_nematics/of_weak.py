@@ -27,10 +27,9 @@ class DegenerateCoefficient(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class AnchoringParams:
-    """Dimensionless anchoring strength and preferred boundary offset."""
+    """Dimensionless strength of the tangent anchoring."""
 
     alpha: float
-    preferred_offset: float = math.pi / 2
 
     def __post_init__(self):
         # written so that nan fails it too
@@ -122,14 +121,14 @@ def _k0_pole_partition(alpha: float, b: float):
     return sorted(set(edges))
 
 
-def _smallest_root_in_cells(f, edges, samples: int = 160) -> Optional[float]:
+def _smallest_root_in_cells(f, edges) -> Optional[float]:
     """Scan each cell left to right and root-solve the first sign change."""
     for lo, hi in zip(edges[:-1], edges[1:]):
         pad = 1e-10 * max(1.0, hi - lo) + 1e-13
         a, c = lo + pad, hi - pad
         if c <= a:
             continue
-        xs = np.linspace(a, c, samples)
+        xs = np.linspace(a, c, 160)
         prev_x, prev_f = None, None
         for x in xs:
             try:

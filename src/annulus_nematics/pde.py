@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .numerics import NewtonDiverged, min_eigenvalue
+from .numerics import NEWTON_TOL, NewtonDiverged, SolveReport, min_eigenvalue
 from .of_weak import AnchoringParams
 
 
@@ -47,6 +47,11 @@ def _check_anisotropy(delta: float) -> None:
                                  f"range (finite, at most {MAX_ANISOTROPY})")
 
 
+def _check_ratio(b: float) -> None:
+    if not 0.0 < b < 1.0:
+        raise ValueError("b must lie in (0,1)")
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     """Tensor grid uniform in log-radius and azimuth."""
@@ -63,12 +68,14 @@ class PolarGrid:
 
     @classmethod
     def annulus(cls, b: float, nr: int, nphi: int) -> "PolarGrid":
+        _check_ratio(b)
         x = np.linspace(math.log(b), 0.0, nr)
         phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
         return cls(nr, nphi, np.exp(x), phi, periodic=True)
 
     @classmethod
     def sector(cls, b: float, N: int, nr: int, nphi: int) -> "PolarGrid":
+        _check_ratio(b)
         x = np.linspace(math.log(b), 0.0, nr)
         phi = np.linspace(0.0, 2.0 * math.pi / N, nphi)
         return cls(nr, nphi, np.exp(x), phi, periodic=False)
@@ -123,21 +130,6 @@ class DirectorField:
             raise ValueError("theta shape does not match the grid")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta must be finite")
-
-
-@dataclass
-class SolveReport:
-    iterations: int
-    final_residual: float
-    damping_events: int
-    converged: bool
-    energy_history: list = field(default_factory=list)
-    # seconds summed over the solve
-    assemble_s: float = 0.0
-    linear_solve_s: float = 0.0
-    line_search_s: float = 0.0
-    # LU factors built; fewer than iterations when chord steps reuse one
-    factorizations: int = 0
 
 
 def defect_free_field(grid: PolarGrid,
@@ -247,9 +239,10 @@ def _residual(grid: PolarGrid, theta: np.ndarray, delta: float,
     return res, (t_x, t_p, s, c, beta, gamma), robin
 
 
-def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float, k3: float,
+def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float,
                    eps: Optional[float] = None) -> float:
-    """Cell-midpoint quadrature of the elastic density in (x, phi).
+    """Cell-midpoint quadrature of the elastic density in (x, phi),
+    in units of K3.
 
     The conformal coordinates absorb the area weight, so splay and bend
     combine the plain x/phi derivatives.  With ``eps`` the four sector
@@ -270,8 +263,7 @@ def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float, k3: float,
     diff = t_c - p_c
     splay = np.cos(diff) * t_p - np.sin(diff) * t_x
     bend = np.sin(diff) * t_p + np.cos(diff) * t_x
-    k1 = (1.0 - delta) * k3
-    dens = 0.5 * k1 * splay ** 2 + 0.5 * k3 * bend ** 2
+    dens = 0.5 * (1.0 - delta) * splay ** 2 + 0.5 * bend ** 2
     weight = np.ones_like(dens)
     if eps is not None:
         x_c = 0.25 * (xx[1:, 1:] + xx[1:, :-1] + xx[:-1, 1:] + xx[:-1, :-1])
@@ -293,14 +285,15 @@ def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float, k3: float,
     return float(np.sum(dens * weight)) * hx * hp
 
 
-def of_energy_2d(fld: DirectorField, delta: float, k3: float = 1.0,
+def of_energy_2d(fld: DirectorField, delta: float,
                  eps: Optional[float] = None) -> float:
     """Elastic energy of the sampled director by midpoint-cell quadrature.
 
-    Second-order accurate for smooth fields; with ``eps`` present the
-    corner core disks (physical radius eps) are excluded from the sum.
+    In units of K3.  Second-order accurate for smooth fields; with ``eps``
+    present the corner core disks (physical radius eps) are excluded from
+    the sum.
     """
-    return _energy_arrays(fld.grid, fld.theta, delta, k3, eps)
+    return _energy_arrays(fld.grid, fld.theta, delta, eps)
 
 
 # 9-point stencil offsets (di, dj), in the order of the Jacobian
@@ -348,8 +341,8 @@ def _dissection_order(nr: int, nphi: int) -> np.ndarray:
 class _NewtonSystem:
     """Numbering, sparsity pattern and linear solver of one Newton system.
 
-    All three depend only on the grid, the edge conditions and the active
-    mask, so they are set up once.  Sector unknowns are numbered in
+    All three depend only on the grid and the edge conditions, which fix
+    the active nodes, so they are set up once.  Sector unknowns are numbered in
     nested-dissection order and factored by SuperLU without column
     permutation.  The annulus with Dirichlet circles and at most
     ``BAND_MAX_NPHI`` nodes per ring is numbered ring by ring, each ring in
@@ -362,18 +355,16 @@ class _NewtonSystem:
     onto the CSR data, so a Newton step only gathers values.
     """
 
-    def __init__(self, grid: PolarGrid, bc: BoundaryConditions,
-                 active: Optional[np.ndarray] = None):
+    def __init__(self, grid: PolarGrid, bc: BoundaryConditions):
         nr, nphi = grid.nr, grid.nphi
-        if active is None:
-            # Dirichlet edges (sector edges always) and pinned cores are fixed
-            active = np.ones((nr, nphi), dtype=bool)
-            if bc.kind == "dirichlet":
-                active[[0, -1], :] = False
-            if not grid.periodic:
-                active[:, [0, -1]] = False
-            if bc.pin_mask is not None:
-                active &= ~bc.pin_mask
+        # Dirichlet edges (sector edges always) and pinned cores are fixed
+        active = np.ones((nr, nphi), dtype=bool)
+        if bc.kind == "dirichlet":
+            active[[0, -1], :] = False
+        if not grid.periodic:
+            active[:, [0, -1]] = False
+        if bc.pin_mask is not None:
+            active &= ~bc.pin_mask
         self.grid, self.bc, self.active = grid, bc, active
         ncell = nr * nphi
         banded = grid.periodic and bc.kind == "dirichlet" \
@@ -508,7 +499,7 @@ class _NewtonSystem:
 
 
 def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
-             init: DirectorField, tol: float = 1e-8,
+             init: DirectorField,
              max_iter: int = 40) -> tuple[DirectorField, SolveReport]:
     """Solve the director equation by damped Newton with energy line search.
 
@@ -523,13 +514,11 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
         raise ValueError("weak anchoring is only offered on the full annulus")
     t0 = time.perf_counter()
     system = _NewtonSystem(grid, bc)
-    return _newton(system, delta, init, tol, max_iter,
-                   time.perf_counter() - t0)
+    return _newton(system, delta, init, max_iter, time.perf_counter() - t0)
 
 
 def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
-            tol: float = 1e-8, max_iter: int = 40, build_s: float = 0.0,
-            chord: bool = False):
+            max_iter: int = 40, build_s: float = 0.0, chord: bool = False):
     """``solve_el`` on a prebuilt system; ``build_s`` counts as assembly.
 
     With ``chord``, a full Newton step that cut the residual at least 10x
@@ -562,10 +551,10 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
         """The iterate th + lam * step, its energy, residual and norm."""
         trial = th.copy()
         trial.ravel()[system.order] += lam * step
-        return (trial, _energy_arrays(grid, trial, delta, 1.0),
+        return (trial, _energy_arrays(grid, trial, delta),
                 *evaluate(trial))
 
-    energy = _energy_arrays(grid, theta, delta, 1.0)
+    energy = _energy_arrays(grid, theta, delta)
     history = [energy]
     # the quadrature energy and the collocation residual are consistent
     # only to second order, so the monotonicity guard carries an
@@ -577,7 +566,7 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
     n_iter = 0
     kept = None     # the factor a chord step may reuse
     r, rnorm = evaluate(theta)
-    while rnorm > tol and n_iter < max_iter:
+    while rnorm > NEWTON_TOL and n_iter < max_iter:
         ceiling = energy + slack
         accepted = False
         if kept is not None:
@@ -629,7 +618,7 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
             for _ in range(60):
                 trial = theta.copy()
                 trial[active] += tau * r[0][active]     # interior residual
-                e_try = _energy_arrays(grid, trial, delta, 1.0)
+                e_try = _energy_arrays(grid, trial, delta)
                 if e_try <= energy + 1e-14:
                     theta, energy = trial, e_try
                     r, rnorm = evaluate(theta)
@@ -646,7 +635,7 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
                 raise NewtonDiverged(f"stalled at residual {rnorm:.3e}",
                                      [report])
         n_iter += 1
-    converged = rnorm <= tol
+    converged = rnorm <= NEWTON_TOL
     report = SolveReport(n_iter, rnorm, damping_events, converged, history,
                          *times, factorizations)
     if not converged:
@@ -711,6 +700,12 @@ def stability_probe(base: DirectorField, delta: float, b: float, k: int,
     log-radius with the anchoring surface terms when the base carries
     Robin conditions.  A negative value signals instability.
     """
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError("k must be nonnegative and an integer")
+    if not -math.inf < delta < 1.0:
+        raise ValueError("anisotropy must be finite and below 1")
+    if not math.isclose(b, base.grid.b, rel_tol=1e-12):
+        raise ValueError(f"b={b} differs from the base grid's b={base.grid.b}")
     _, pp = base.grid.mesh()
     if float(np.max(np.abs(base.theta - (pp + 0.5 * math.pi)))) > 1e-6:
         raise ValueError("stability probe requires the defect-free base state")
@@ -734,10 +729,9 @@ def stability_probe(base: DirectorField, delta: float, b: float, k: int,
 
 
 def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
-                             eps: float, nr: int = 129,
-                             nphi: Optional[int] = None,
-                             k3: float = 1.0) -> float:
-    """Total regularized energy of a sector defect state at anisotropy delta.
+                             eps: float, nr: int = 129) -> float:
+    """Total regularized energy of a sector defect state at anisotropy delta,
+    in units of K3.
 
     Solves on a grid whose corner cores are pinned at a grid-resolvable
     radius, extracts the finite part using the anisotropic core
@@ -753,15 +747,12 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     """
     if not 0.0 < eps < b / 4.0:
         raise ValueError("core radius must lie in (0, b/4)")
-    if not k3 > 0.0:
-        raise ValueError("elastic constant k3 must be positive")
     _check_anisotropy(delta)
     from .harmonic import state_coefficients
     spec = state_coefficients(kind, N, full_annulus=False)
     span = 2.0 * math.pi / N
     hx = math.log(1.0 / b) / (nr - 1)
-    if nphi is None:
-        nphi = int(np.clip(round(span / hx) + 1, 65, 769))
+    nphi = int(np.clip(round(span / hx) + 1, 65, 769))
     grid = PolarGrid.sector(b, N, nr, nphi)
     eps1 = 5.0 * max(grid.hx, grid.hp)
     eps2 = 2.0 * eps1
@@ -792,9 +783,9 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
         reports.append(rep)
         done, step = target, min(2.0 * step, 1.0 - target)
     core_coef = 1.0 - 0.75 * delta
-    t1 = of_energy_2d(current, delta, k3, eps=eps1) / (k3 * math.pi) \
+    t1 = of_energy_2d(current, delta, eps=eps1) / math.pi \
         - core_coef * math.log(1.0 / eps1)
-    t2 = of_energy_2d(current, delta, k3, eps=eps2) / (k3 * math.pi) \
+    t2 = of_energy_2d(current, delta, eps=eps2) / math.pi \
         - core_coef * math.log(1.0 / eps2)
     tilde = 2.0 * t1 - t2
-    return k3 * math.pi * (core_coef * math.log(1.0 / eps) + tilde)
+    return math.pi * (core_coef * math.log(1.0 / eps) + tilde)

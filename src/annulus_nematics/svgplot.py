@@ -55,9 +55,9 @@ def _axes(width, height, margin, x_lo, x_hi, y_lo, y_hi, xlabel, ylabel, title):
 
 
 def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "",
-              ylabel: str = "", width: int = 640, height: int = 440) -> str:
+              ylabel: str = "") -> str:
     """Polyline chart of (x, y, label) triples on a fixed canvas."""
-    margin = 52
+    width, height, margin = 640, 440, 52
     xs = np.array([x for s in series for x in s[0]], dtype=float)
     ys = np.array([y for s in series for y in s[1]], dtype=float)
     # with no point at all, draw the bare frame over [0, 1] on both axes
@@ -99,31 +99,30 @@ def line_plot(series: Sequence[tuple], title: str = "", xlabel: str = "",
     return "\n".join(parts) + "\n"
 
 
-def director_plot(r, phi, theta, title: str = "", width: int = 520,
-                  height: int = 520, segment: float = 0.45) -> str:
+def director_plot(r, phi, theta, title: str = "") -> str:
     """Unoriented director segments at polar sample points.
 
-    ``segment`` scales the glyph length relative to the median sample
-    spacing.  The annulus is drawn in Cartesian coordinates with the outer
-    radius filling the canvas.
+    Glyphs are 0.45 of the median sample spacing long.  The annulus is
+    drawn in Cartesian coordinates with the outer radius filling the
+    square canvas.
     """
     r = np.asarray(r, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
-    margin = 22
-    scale = (min(width, height) - 2 * margin) / 2.0
-    cx, cy = width / 2.0, height / 2.0
+    size, margin = 520, 22
+    scale = (size - 2 * margin) / 2.0
+    cx = cy = size / 2.0
     x = r * np.cos(phi)
     y = r * np.sin(phi)
     n_pts = max(len(r), 1)
-    glyph = segment * 2.0 * math.pi * float(np.median(r)) / math.sqrt(n_pts)
+    glyph = 0.45 * 2.0 * math.pi * float(np.median(r)) / math.sqrt(n_pts)
     ux = 0.5 * glyph * np.cos(theta)
     uy = 0.5 * glyph * np.sin(theta)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             f'<rect width="{size}" height="{size}" fill="white"/>']
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="16" font-size="12" '
+        parts.append(f'<text x="{size / 2:.1f}" y="16" font-size="12" '
                      f'text-anchor="middle">{title}</text>')
     for k in range(len(r)):
         x1 = cx + scale * (x[k] - ux[k])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,11 @@ from annulus_nematics.cli import fmt17, load_field_csv, main, read_table
 from annulus_nematics.of_strong import delta_n, spiral_solve
 
 DATA = Path(__file__).parent / "data"
+# SHA-256 of the two director plots that test_svg_bytes_pinned renders
+SPIRAL_SVG_SHA256 = \
+    "3da318a1330a35da7972fc5092d6cf1ce3247fa36ed3254743c75335f5d2d051"
+PDE_SVG_SHA256 = \
+    "f78bcee50845e1a3b500222fa6a68253ef9a420354ae89a47a6afa973780fe65"
 SRC = Path(annulus_nematics.__file__).resolve().parents[1]
 
 
@@ -153,6 +159,15 @@ class TestSpiral:
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2, res.output
 
+    def test_svg_bytes_pinned(self, runner, tmp_path):
+        # the README spiral plot; director_plot's canvas is fixed
+        svg = tmp_path / "sp.svg"
+        res = runner.invoke(main, ["spiral", "--b", "0.2", "--delta", "0.95",
+                                   "--out", str(tmp_path / "sp.csv"),
+                                   "--svg", str(svg)])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == SPIRAL_SVG_SHA256
+
 
 class TestDefectStates:
     def test_columns_and_odd_gaps(self, runner, tmp_path):
@@ -274,6 +289,16 @@ class TestPdeSolve:
         assert res.exit_code == 0, res.output
         assert json.loads(res.stderr.splitlines()[0])["iterations"] == 0
 
+    def test_svg_bytes_pinned(self, runner, tmp_path):
+        svg = tmp_path / "fld.svg"
+        res = runner.invoke(main, ["pde-solve", "--b", "0.4", "--delta", "0.5",
+                                   "--nr", "33", "--nphi", "33",
+                                   "--sector-n", "4", "--state", "U2",
+                                   "--pin-eps", "0.1", "--out",
+                                   str(tmp_path / "fld.csv"), "--svg", str(svg)])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == PDE_SVG_SHA256
+
     def test_sector_solve(self, runner, tmp_path):
         out = tmp_path / "fld.csv"
         res = runner.invoke(main, ["pde-solve", "--b", "0.4", "--delta", "0.0",
@@ -387,6 +412,10 @@ class TestLdgCommands:
         res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "1e9",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 3
+        # the BVP solver's report, as pde-solve's
+        (line,) = res.stderr.splitlines()
+        report = json.loads(line)["report"]
+        assert report["converged"] is False and report["iterations"] >= 1
 
     def test_infinite_t_is_config_error(self, runner, tmp_path):
         out = tmp_path / "lp.csv"

@@ -623,6 +623,15 @@ class TestDomain:
         with pytest.raises(ValueError, match="sector count"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: normalized_energy("U2", 2.5, 0.5),
+        lambda: state_coefficients("U2", 2.5),
+        lambda: series_s(1, math.nan, 0.5),
+    ], ids=["normalized_energy", "state_coefficients", "series_s_nan"])
+    def test_rejects_non_integer_sector_count(self, call):
+        with pytest.raises(ValueError, match="sector count"):
+            call()
+
 
 class TestCrossover:
     def test_exists_and_positive(self):

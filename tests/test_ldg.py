@@ -78,6 +78,13 @@ def test_params_reject_negative_or_nan_t():
             LdGParams(t)
 
 
+def test_params_reject_infinite_t():
+    # inf used to be accepted, and the t-continuation of solve_s then
+    # halved it forever
+    with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+        LdGParams(math.inf)
+
+
 class TestSolveS:
     def test_zero_t_closed_form(self):
         b = 0.5
@@ -206,6 +213,13 @@ class TestLnValue:
         with pytest.raises(GridMismatch):
             Ln_value(0, bad, good, good, good, s)
 
+    @pytest.mark.parametrize("n", [1.5, math.nan])
+    def test_rejects_non_integer_block_index(self, n):
+        s = analytic_s_state(0.5, n=101)
+        zero = GridFunction(s.profile.nodes, np.zeros_like(s.profile.nodes))
+        with pytest.raises(ValueError, match="block index"):
+            Ln_value(n, zero, zero, zero, zero, s)
+
 
 class TestMinEig:
     def test_zero_block_positive(self):
@@ -238,6 +252,11 @@ class TestMinEig:
     def test_rejects_negative_block_index(self):
         with pytest.raises(ValueError):
             min_eig_Ln(-2, 0.5, LdGParams(40.0), n_nodes=201)
+
+    @pytest.mark.parametrize("n", [1.5, math.nan])
+    def test_rejects_non_integer_block_index(self, n):
+        with pytest.raises(ValueError, match="block index"):
+            min_eig_Ln(n, 0.5, LdGParams(40.0), n_nodes=201)
 
 
 class TestThreshold:

@@ -32,10 +32,6 @@ class TestFindRoot:
         with pytest.raises(NoSignChange):
             find_root(lambda x: x - 5.0, Bracket(0.0, 1.0))
 
-    def test_accepts_tuple(self):
-        r = find_root(lambda x: x - 0.25, (0.0, 1.0))
-        assert abs(r - 0.25) < 1e-12
-
     @given(root=st.floats(-5.0, 5.0), spread=st.floats(0.1, 10.0),
            scale=st.floats(0.01, 100.0))
     @settings(deadline=None, max_examples=60)

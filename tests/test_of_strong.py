@@ -103,6 +103,11 @@ class TestClosedForms:
         assert 0.0 < d < 1.0
         assert delta_n(b, n + 1) > d
 
+    @pytest.mark.parametrize("n", [1.5, math.nan])
+    def test_delta_n_rejects_non_integer_order(self, n):
+        with pytest.raises(ValueError, match="mode index"):
+            delta_n(0.5, n)
+
     def test_delta_n_limits(self):
         assert delta_n(1e-12, 1) < 0.05
         assert delta_n(1.0 - 1e-12, 1) > 0.999999
@@ -187,6 +192,12 @@ class TestPitchfork:
             pitchfork_amplitude(delta_n(b, 1), b)
         with pytest.raises(SubcriticalInput):
             pitchfork_amplitude(0.1, b)
+
+    @pytest.mark.parametrize("delta", [math.nan, 1.5])
+    def test_rejects_anisotropy_outside_domain(self, delta):
+        # nan used to return nan
+        with pytest.raises(ValueError, match="anisotropy"):
+            pitchfork_amplitude(delta, 0.5)
 
 
 class TestSpiral:
@@ -359,13 +370,9 @@ class TestSpiralEnergy:
 
 class TestGeometryTypes:
     def test_annulus_geometry_validation(self):
-        AnnulusGeometry(0.5, n_sectors=4, eps=0.1)
+        AnnulusGeometry(0.5)
         with pytest.raises(ValueError):
             AnnulusGeometry(1.2)
-        with pytest.raises(ValueError):
-            AnnulusGeometry(0.5, eps=0.2)  # core must stay below b/4
-        with pytest.raises(ValueError):
-            AnnulusGeometry(0.5, n_sectors=0)
 
     def test_elastic_params_derived_constant(self):
         p = ElasticParams(0.3, 2.0)
@@ -374,6 +381,11 @@ class TestGeometryTypes:
             ElasticParams(1.2)
         with pytest.raises(ValueError):
             ElasticParams(0.5, k3=0.0)
+
+    @pytest.mark.parametrize("k3", [math.nan, math.inf])
+    def test_elastic_params_reject_non_finite_k3(self, k3):
+        with pytest.raises(ValueError, match="bend constant"):
+            ElasticParams(0.3, k3)
 
     def test_radial_profile_validation(self):
         with pytest.raises(ValueError):

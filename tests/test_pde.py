@@ -54,6 +54,15 @@ class TestGrids:
         assert np.allclose(np.diff(x), x[1] - x[0])
         assert abs(grid.phi_nodes[-1] - 2.0 * math.pi / 3) < 1e-14
 
+    @pytest.mark.parametrize("make", [
+        lambda b: PolarGrid.annulus(b, 17, 17),
+        lambda b: PolarGrid.sector(b, 2, 17, 17),
+    ], ids=["annulus", "sector"])
+    @pytest.mark.parametrize("b", [1.5, 0.0, math.nan])
+    def test_radius_ratio_outside_unit_interval(self, make, b):
+        with pytest.raises(ValueError, match="b must lie in"):
+            make(b)
+
     @pytest.mark.parametrize("eps_core", [0.0, -0.1])
     def test_pin_radius_must_be_positive(self, eps_core):
         # a negative radius used to pin the cores of its absolute value
@@ -170,14 +179,14 @@ class TestEnergy2d:
         grid = PolarGrid.annulus(0.3, 48, 32)
         fld = defect_free_field(grid)
         for d in (0.0, 0.5, 0.9):
-            e = of_energy_2d(fld, d, k3=1.3)
-            assert abs(e - 1.3 * math.pi * math.log(1.0 / 0.3)) < 1e-10
+            e = of_energy_2d(fld, d)
+            assert abs(e - math.pi * math.log(1.0 / 0.3)) < 1e-10
 
     def test_defect_state_matches_closed_form(self):
         b, N, eps = 0.5, 4, 0.008
         grid = PolarGrid.sector(b, N, 385, 385)
         fld = sector_state_field(grid, state_coefficients("U2", N))
-        e = of_energy_2d(fld, 0.0, 1.0, eps=eps)
+        e = of_energy_2d(fld, 0.0, eps=eps)
         closed = total_energy("U2", N, b, eps, K=1.0)
         assert abs(e - closed) < 0.01 * closed
 
@@ -302,6 +311,21 @@ class TestStabilityProbe:
             else:
                 assert stability_probe(base, max(dcrit - 0.005, 1e-3), b, k) > 0.0
                 assert stability_probe(base, min(dcrit + 0.005, 0.9999), b, k) < 0.0
+
+    @pytest.mark.parametrize("delta, b, k, match", [
+        (0.5, 0.5, 1.5, "k must be"),
+        (0.5, 0.5, -1, "k must be"),
+        (1.5, 0.5, 0, "anisotropy"),
+        (1.0, 0.5, 0, "anisotropy"),
+        (math.nan, 0.5, 0, "anisotropy"),
+        (0.5, 0.2, 0, "differs from the base grid"),
+    ], ids=["half_order", "negative_order", "delta_past_one", "delta_one",
+            "nan_delta", "other_annulus"])
+    def test_rejects_out_of_domain(self, delta, b, k, match):
+        # delta=1.5 returned -58848, and b=0.2 on this b=0.5 grid 5.51
+        base = defect_free_field(PolarGrid.annulus(0.5, 48, 32))
+        with pytest.raises(ValueError, match=match):
+            stability_probe(base, delta, b, k)
 
     def test_band_matches_dense_reference(self):
         # at b=0.5, alpha=0.5 every order k=0..2 has a Robin crossing
@@ -446,10 +470,8 @@ class TestAnisotropicEnergy:
         (dict(eps=-0.002), "core radius"),
         (dict(eps=0.0), "core radius"),
         (dict(eps=0.5), "core radius"),
-        (dict(k3=-1.0), "k3"),
         (dict(delta=math.nan), "anisotropy"),
-    ], ids=["negative_eps", "zero_eps", "eps_past_quarter_b", "negative_k3",
-            "nan_delta"])
+    ], ids=["negative_eps", "zero_eps", "eps_past_quarter_b", "nan_delta"])
     def test_out_of_domain_rejected(self, kwargs, match):
         args = dict(b=0.3, N=2, kind="U2", delta=0.5, eps=0.002, nr=97)
         args.update(kwargs)
@@ -722,8 +744,8 @@ class TestPaddedStencil:
     def test_energy_matches_reference(self, name, grid, bc, states, delta):
         for theta in states:
             fld = DirectorField(grid, theta, bc)
-            assert of_energy_2d(fld, delta, k3=1.3) \
-                == reference_energy(grid, theta, delta, 1.3)
+            assert of_energy_2d(fld, delta) \
+                == reference_energy(grid, theta, delta, 1.0)
 
 
 @pytest.mark.parametrize("name, grid, bc, states, delta",
@@ -778,13 +800,14 @@ class TestNewtonSystem:
     def test_numbering_is_permutation_of_active_nodes(self, name, grid, bc,
                                                       states, delta):
         active = active_nodes(grid, bc)
-        system = _NewtonSystem(grid, bc, active)
+        system = _NewtonSystem(grid, bc)
+        assert np.array_equal(system.active, active)
         assert system.n == int(active.sum())
         assert np.array_equal(np.sort(system.order), np.flatnonzero(active))
 
     def test_top_level_halves_decoupled(self, name, grid, bc, states, delta):
         active = active_nodes(grid, bc)
-        system = _NewtonSystem(grid, bc, active)
+        system = _NewtonSystem(grid, bc)
         if bc.kind == "robin":
             # the Robin annulus keeps row-major numbering
             assert np.array_equal(system.order, np.flatnonzero(active))
@@ -794,7 +817,7 @@ class TestNewtonSystem:
             # half-bandwidth is nphi + 2 at even and odd nphi alike
             for nphi in (grid.nphi, grid.nphi + 1):
                 ring = PolarGrid.annulus(grid.b, grid.nr, nphi)
-                system = _NewtonSystem(ring, bc, active_nodes(ring, bc))
+                system = _NewtonSystem(ring, bc)
                 fold = [k // 2 if k % 2 == 0 else nphi - 1 - k // 2
                         for k in range(nphi)]
                 ii = np.arange(1, grid.nr - 1)
@@ -822,7 +845,7 @@ class TestNewtonSystem:
     def test_refilled_jacobian_matches_reference(self, name, grid, bc, states,
                                                  delta):
         active = active_nodes(grid, bc)
-        system = _NewtonSystem(grid, bc, active)
+        system = _NewtonSystem(grid, bc)
         rank = np.full(grid.nr * grid.nphi, -1)
         rank[np.flatnonzero(active)] = np.arange(system.n)
         row_major = rank[system.order]
@@ -838,7 +861,7 @@ class TestNewtonSystem:
 
     def test_ordered_step_matches_plain_solve(self, name, grid, bc, states, delta):
         active = active_nodes(grid, bc)
-        system = _NewtonSystem(grid, bc, active)
+        system = _NewtonSystem(grid, bc)
         rhs, jac = assemble(system, states[0], delta)
         step = system.factor(jac)(-rhs)
         ref_rhs, ref_jac = reference_assembly(grid, states[0], delta, bc, active)
@@ -854,7 +877,7 @@ def annulus_system(nphi, bc):
     xx, pp = grid.mesh()
     theta = pp + 0.5 * math.pi + 0.2 * np.sin(math.pi * xx / math.log(0.3)) \
         * np.cos(pp)
-    system = _NewtonSystem(grid, bc, active_nodes(grid, bc))
+    system = _NewtonSystem(grid, bc)
     return system, theta, assemble(system, theta, 0.7)
 
 
