@@ -119,11 +119,14 @@ def _report_dict(report) -> dict:
 
 
 class _SolverGroup(click.Group):
-    """Command group that turns a solver failure into exit code 3."""
+    """Command group that maps library errors to exit codes: a rejected
+    input (``ValueError``) to 2, a solver failure to 3."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         except NewtonDiverged as exc:
             payload = {"error": str(exc)}
             if exc.history:
@@ -199,8 +202,8 @@ def stability_strong(b_min, b_max, steps, out, svg_path, fmt):
 def stability_weak(b, ks, alpha_min, alpha_max, steps, out_prefix, svg_path,
                    fmt):
     """Critical anisotropy curves under finite anchoring, one per order k."""
-    if not 0.0 < b < 1.0 or alpha_min <= 0 or alpha_max <= alpha_min or steps < 1:
-        raise ConfigError("invalid geometry, anchoring range or steps")
+    if alpha_max <= alpha_min or steps < 1:
+        raise ConfigError("need alpha-min < alpha-max and steps >= 1")
     try:
         k_list = [int(s) for s in ks.split(",")]
     except ValueError:
@@ -240,13 +243,7 @@ def stability_weak(b, ks, alpha_min, alpha_max, steps, out_prefix, svg_path,
 @_config_opt
 def spiral(b, delta, n_profile, out, svg_path, fmt):
     """Spiral offset profile above the critical anisotropy."""
-    if not 0.0 < b < 1.0:
-        raise ConfigError("b must lie in (0,1)")
-    try:
-        state = spiral_solve(delta, b, n_profile=n_profile)
-    except ValueError as exc:
-        # out-of-range inputs, NoSpiralBranch included
-        raise ConfigError(str(exc))
+    state = spiral_solve(delta, b, n_profile=n_profile)
     t = state.profile.nodes
     r = np.exp(-t)[::-1]
     u = state.profile.values[::-1]
@@ -284,18 +281,14 @@ def defect_states(b, n_max, eps, k3, out, fmt):
     if n_max < 1:
         raise ConfigError("need n-max >= 1")
     rows = []
-    try:
-        for n in range(1, n_max + 1):
-            row = [float(n)]
-            for kind in ("U1", "U2", "U3", "D"):
-                if kind in ("U3", "D") and n % 2 == 1:
-                    row.append(float("nan"))
-                else:
-                    row.append(harmonic.total_energy(kind, n, b, eps, K=k3))
-            rows.append(tuple(row))
-    except ValueError as exc:
-        # b outside (0,1), eps outside (0, b/4) or K <= 0
-        raise ConfigError(str(exc))
+    for n in range(1, n_max + 1):
+        row = [float(n)]
+        for kind in ("U1", "U2", "U3", "D"):
+            if kind in ("U3", "D") and n % 2 == 1:
+                row.append(float("nan"))
+            else:
+                row.append(harmonic.total_energy(kind, n, b, eps, K=k3))
+        rows.append(tuple(row))
     emit_table(out, fmt, ["N", "E_U1", "E_U2", "E_U3", "E_D"], rows,
                f"defect-state energies, b={fmt17(b)} eps={fmt17(eps)} "
                f"K={fmt17(k3)}; order-eps arc terms dropped")
@@ -321,39 +314,27 @@ def defect_states(b, n_max, eps, k3, out, fmt):
 def pde_solve(b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
               svg_path):
     """Solve the director equation and emit the field as r,phi,theta."""
-    if not 0.0 < b < 1.0:
-        raise ConfigError("b must lie in (0,1)")
-    if sector_n is not None and sector_n < 1:
-        raise ConfigError("need sector-n >= 1")
     if sector_n is not None and alpha is not None:
         raise ConfigError("weak anchoring (--alpha) needs the full annulus")
     if sector_n is None and pin_eps is not None:
         raise ConfigError("core pinning (--pin-eps) needs a sector (--sector-n)")
-    try:
-        if sector_n is not None:
-            grid = pde.PolarGrid.sector(b, sector_n, nr, nphi)
-            spec = harmonic.state_coefficients(state, sector_n,
-                                               full_annulus=False)
-            corner = None
-            if pin_eps is not None:
-                corner = pde.corner_pin_mask(grid, pin_eps)
-            bc = pde.BoundaryConditions(pin_mask=corner)
-            init = pde.sector_state_field(grid, spec, bc)
+    if sector_n is not None:
+        grid = pde.PolarGrid.sector(b, sector_n, nr, nphi)
+        spec = harmonic.state_coefficients(state, sector_n, full_annulus=False)
+        corner = None
+        if pin_eps is not None:
+            corner = pde.corner_pin_mask(grid, pin_eps)
+        bc = pde.BoundaryConditions(pin_mask=corner)
+        init = pde.sector_state_field(grid, spec, bc)
+    else:
+        grid = pde.PolarGrid.annulus(b, nr, nphi)
+        if alpha is not None:
+            bc = pde.BoundaryConditions(kind="robin",
+                                        anchoring=AnchoringParams(alpha))
         else:
-            grid = pde.PolarGrid.annulus(b, nr, nphi)
-            if alpha is not None:
-                bc = pde.BoundaryConditions(kind="robin",
-                                            anchoring=AnchoringParams(alpha))
-            else:
-                bc = pde.BoundaryConditions()
-            init = pde.defect_free_field(grid, bc)
-    except ValueError as exc:
-        # grid size, anchoring strength or state rejected by the library
-        raise ConfigError(str(exc))
-    try:
-        fld, report = pde.solve_el(grid, delta, bc, init)
-    except pde.SingularAnisotropy as exc:
-        raise ConfigError(str(exc))
+            bc = pde.BoundaryConditions()
+        init = pde.defect_free_field(grid, bc)
+    fld, report = pde.solve_el(grid, delta, bc, init)
     rows = []
     for i, r in enumerate(grid.r_nodes):
         for j, ph in enumerate(grid.phi_nodes):
@@ -389,16 +370,12 @@ def pde_solve(b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
 def bifurcation(b, delta_min, delta_max, steps, seed_amplitude, nr, nphi, out,
                 fmt):
     """Deformation amplitude of the seeded branch across the bifurcation."""
-    if not 0.0 < b < 1.0 or delta_max <= delta_min:
-        raise ConfigError("invalid geometry or anisotropy range")
+    if delta_max <= delta_min:
+        raise ConfigError("need delta-min < delta-max")
     if steps < 1:
         raise ConfigError("need steps >= 1")
     deltas = np.linspace(delta_min, delta_max, steps)
-    try:
-        pts = pde.bifurcation_scan(b, deltas, seed_amplitude, nr=nr, nphi=nphi)
-    except ValueError as exc:
-        # the scan checks its grid and anisotropy range before solving
-        raise ConfigError(str(exc))
+    pts = pde.bifurcation_scan(b, deltas, seed_amplitude, nr=nr, nphi=nphi)
     rows = [(d, a, 0) for d, a in pts]
     emit_table(out, fmt, ["x", "y", "k"], rows,
                f"deformation amplitude (y) vs anisotropy (x), b={fmt17(b)}, "
@@ -419,10 +396,6 @@ def bifurcation(b, delta_min, delta_max, steps, seed_amplitude, nr, nphi, out,
 @_config_opt
 def ldg_profile(b, t, kind, n_nodes, out, fmt):
     """Radial order-parameter profile of the tensor defect-free state."""
-    if not 0.0 < b < 1.0 or t < 0:
-        raise ConfigError("need b in (0,1) and t >= 0")
-    if n_nodes < 16:
-        raise ConfigError("need n-nodes >= 16")
     solver = ldg.solve_s if kind == "s" else ldg.solve_u
     prof = solver(b, ldg.LdGParams(t), n_nodes=n_nodes)
     rows = list(zip(map(float, prof.profile.nodes),
@@ -449,10 +422,6 @@ def ldg_stability(b, t, ns, n_nodes, out, fmt):
         n_list = [int(s) for s in ns.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse block list {ns!r}")
-    if not 0.0 < b < 1.0 or t < 0:
-        raise ConfigError("need b in (0,1) and t >= 0")
-    if min(n_list) < 0 or n_nodes < 16:
-        raise ConfigError("need block indices n >= 0 and n-nodes >= 16")
     params = ldg.LdGParams(t)
     rows = [(float(n), ldg.min_eig_Ln(n, b, params, n_nodes=n_nodes))
             for n in n_list]

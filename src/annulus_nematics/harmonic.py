@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import gauss_legendre
+from .numerics import check_sector, gauss_legendre
 
 
 KINDS = ("U1", "U2", "U3", "D")
@@ -34,15 +34,6 @@ class InvalidTiling(ValueError):
 
 class QuadratureBudget(RuntimeError):
     """Energy quadrature failed its self-consistency refinement check."""
-
-
-def _check_sector(N: int, b: float) -> None:
-    """Reject a sector count that is not a positive integer or a radius
-    ratio outside (0,1)."""
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError("sector count must be a positive integer")
-    if not 0.0 < b < 1.0:
-        raise ValueError("radius ratio must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ def _images(N: int, b: float, u, phi, grad: bool):
     (4/pi) Im artanh(w) and (2/m) Im log(1 + w) for the values, their
     derivatives for the gradients.
     """
-    _check_sector(N, b)
+    check_sector(N, b)
     m = 0.5 * N
     x = math.log(b)
     u, phi = np.broadcast_arrays(np.asarray(u, dtype=float),
@@ -310,7 +301,7 @@ def series_s(i: int, N: int, b: float) -> float:
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("series index must be 1..4")
-    _check_sector(N, b)
+    check_sector(N, b)
     return _log_eta(_EDGE_SUMS[i], -N * math.log(b) / (2.0 * math.pi))
 
 
@@ -329,7 +320,7 @@ def normalized_energy(kind: str, N: int, b: float) -> float:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}")
-    _check_sector(N, b)
+    check_sector(N, b)
     log_inv_b = -math.log(b)
     edge = _log_eta(_ENERGY_SUMS[kind], N * log_inv_b / (2.0 * math.pi))
     if kind in ("U1", "U2"):
@@ -347,8 +338,8 @@ def total_energy(kind: str, N: int, b: float, eps: float, K: float = 1.0) -> flo
     """
     if not 0.0 < eps < b / 4.0:
         raise ValueError("core radius must lie in (0, b/4)")
-    if not K > 0.0:
-        raise ValueError("elastic constant K must be positive")
+    if not 0.0 < K < math.inf:
+        raise ValueError("elastic constant K must be positive and finite")
     return K * math.pi * (math.log(1.0 / eps) + normalized_energy(kind, N, b))
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import GridFunction, NewtonDiverged, min_eigenvalue, solve_bvp
+from .numerics import (GridFunction, NewtonDiverged, check_ratio, min_eigenvalue,
+                       solve_bvp)
 
 
 def _spline_derivative(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -90,6 +91,11 @@ def _solve_profile(b: float, t: float, n_nodes: int, left: float, right: float,
     second-order residual well above the rounding floor of the divided
     differences.
     """
+    check_ratio(b)
+    # before the grid is built: numpy's own message names no parameter
+    if n_nodes < 16:
+        raise ValueError("n_nodes must be at least 16")
+
     def make_rhs(tk):
         def rhs(x, y, yp):
             return 4.0 * y + tk * np.exp(2.0 * x) * y * (2.0 * y * y - 1.0)
@@ -133,8 +139,6 @@ def solve_s(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
     interior minimum; at t = 0 the equation is linear with the closed-form
     solution used as the Newton seed (and as the continuation start).
     """
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0,1)")
     sol = _solve_profile(b, params.t, n_nodes, SQRT_HALF, SQRT_HALF,
                          s_profile_zero_t)
     return _solved_profile("s_profile", sol, params, b)
@@ -142,8 +146,6 @@ def solve_s(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
 
 def solve_u(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
     """Companion profile vanishing on the inner circle; unique and monotone."""
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0,1)")
     sol = _solve_profile(b, params.t, n_nodes, 0.0, SQRT_HALF,
                          u_profile_zero_t)
     return _solved_profile("u_profile", sol, params, b)
@@ -239,8 +241,7 @@ def min_eig_Ln(n: int, b: float, params: LdGParams, n_nodes: int = 401) -> float
 
 def stability_threshold(b: float) -> float:
     """Sufficient t = |A|/L for stability of the n = 2 block: 3(b^2+1)^2/(2b^4)."""
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0,1)")
+    check_ratio(b)
     return 3.0 * (b * b + 1.0) ** 2 / (2.0 * b ** 4)
 
 

@@ -1,8 +1,9 @@
 """Shared numerical kernels for the annulus equilibrium computations.
 
-Bracketed root finding, one memoized Gauss-Legendre rule, a damped-Newton
-solver for scalar two-point boundary value problems, and the smallest
-generalized eigenvalue of a discretized symmetric banded quadratic form.
+The domain checks of the radius ratio and the sector count, bracketed
+root finding, one memoized Gauss-Legendre rule, a damped-Newton solver for
+scalar two-point boundary value problems, and the smallest generalized
+eigenvalue of a discretized symmetric banded quadratic form.
 Everything here is pure apart from the memo of read-only quadrature rules,
 so it is safe to call concurrently on independent inputs.
 """
@@ -10,10 +11,25 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+
+def check_ratio(b: float) -> None:
+    """Reject a radius ratio outside (0, 1), nan included."""
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"radius ratio b must lie in (0,1), got {b}")
+
+
+def check_sector(N: int, b: float) -> None:
+    """Reject a sector count that is not a positive integer, then a radius
+    ratio outside (0, 1)."""
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError("sector count must be a positive integer")
+    check_ratio(b)
 
 
 class NoSignChange(ValueError):
@@ -26,8 +42,8 @@ NEWTON_TOL = 1e-8
 
 @dataclass
 class SolveReport:
-    """What one damped Newton solve did; only the PDE solver times phases
-    and records energies."""
+    """What one damped Newton solve did; only the PDE solver records
+    energies."""
 
     iterations: int
     final_residual: float
@@ -184,15 +200,18 @@ def solve_bvp(ode_rhs: Callable,
         return max(NEWTON_TOL, floor)
 
     def diverged(message):
-        report = SolveReport(iterations, rnorm, damping_events, False)
+        report = SolveReport(iterations, rnorm, damping_events, False, [],
+                             *times, factorizations)
         return NewtonDiverged(message, [report])
 
-    iterations = damping_events = 0
+    iterations = damping_events = factorizations = 0
+    times = [0.0, 0.0, 0.0]     # Jacobian, banded solve, damping loop
     res = residual(y)
     rnorm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
         if rnorm <= stop(y):
             return GridFunction(x, y)
+        t0 = time.perf_counter()
         yi = y[1:-1]
         d1 = (y[2:] - y[:-2]) / (2.0 * h)
         ey = 1e-7 * (1.0 + np.abs(yi))
@@ -209,9 +228,14 @@ def solve_bvp(ode_rhs: Callable,
         ab[0, 1:] = upper[:-1]
         ab[1, :] = diag
         ab[2, :-1] = lower[1:]
+        t1 = time.perf_counter()
+        times[0] += t1 - t0
         if not (math.isfinite(rnorm) and np.isfinite(ab).all()):
             raise diverged("non-finite residual or Jacobian")
         step = scipy.linalg.solve_banded((1, 1), ab, -res)
+        factorizations += 1
+        t2 = time.perf_counter()
+        times[1] += t2 - t1
         lam = 1.0
         while lam >= 1e-12:
             y_try = y.copy()
@@ -222,7 +246,8 @@ def solve_bvp(ode_rhs: Callable,
                 break
             lam *= 0.5
             damping_events += 1
-        else:
+        times[2] += time.perf_counter() - t2
+        if lam < 1e-12:
             raise diverged("residual stalled under damping")
         iterations += 1
         y, res, rnorm = y_try, res_try, rnorm_try

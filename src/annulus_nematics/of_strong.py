@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Bracket, GridFunction, find_root, gauss_legendre
+from .numerics import (Bracket, GridFunction, check_ratio, find_root,
+                       gauss_legendre)
 
 
 class SubcriticalInput(ValueError):
@@ -35,8 +36,7 @@ class AnnulusGeometry:
     b: float
 
     def __post_init__(self):
-        if not 0.0 < self.b < 1.0:
-            raise ValueError(f"radius ratio must lie in (0,1), got {self.b}")
+        check_ratio(self.b)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def delta_n(b: float, n: int) -> float:
 
     pi^2 n^2 / (pi^2 n^2 + log^2 b); strictly increasing in n, in (0,1).
     """
-    if not 0.0 < b < 1.0:
-        raise ValueError("radius ratio must lie in (0,1)")
+    check_ratio(b)
     if not (n >= 1 and float(n).is_integer()):
         raise ValueError("mode index must be a positive integer")
     p = (math.pi * n) ** 2
@@ -91,8 +90,7 @@ def delta_n(b: float, n: int) -> float:
 
 def eigenmode(b: float, n: int, r):
     """Neutral radial mode sin(pi n log r / log b), unit amplitude."""
-    if not 0.0 < b < 1.0:
-        raise ValueError("radius ratio must lie in (0,1)")
+    check_ratio(b)
     if not (n >= 1 and float(n).is_integer()):
         raise ValueError("mode index must be a positive integer")
     r = np.asarray(r, dtype=float)
@@ -161,9 +159,9 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     adjacent doubles.  Only the single-extremum branch is computed;
     multi-extremum solutions exist but carry more energy.
     """
-    if not 0.0 < b < 1.0:
-        raise ValueError("radius ratio must lie in (0,1)")
-    if delta > 1.0:
+    check_ratio(b)
+    # written so that nan fails it too
+    if not delta <= 1.0:
         raise ValueError("anisotropy cannot exceed 1")
     d1 = delta_n(b, 1)
     if delta <= d1:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Bracket, find_root, gauss_legendre
+from .numerics import Bracket, check_ratio, find_root, gauss_legendre
 
 
 class PoleProximity(ArithmeticError):
@@ -33,8 +33,8 @@ class AnchoringParams:
 
     def __post_init__(self):
         # written so that nan fails it too
-        if not self.alpha >= 0.0:
-            raise ValueError("anchoring strength must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("anchoring strength must be nonnegative and finite")
 
 
 @dataclass
@@ -71,8 +71,9 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
-    if not alpha > 0.0 or not 0.0 < b < 1.0:
-        raise ValueError("alpha must be positive and b in (0,1)")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    check_ratio(b)
     if not (k >= 0 and float(k).is_integer()):
         raise ValueError("k must be nonnegative and an integer")
     length = math.log(1.0 / b)
@@ -156,10 +157,9 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
     hyperbolic condition, which exists only below the rational-term pole
     constraint, again requiring alpha < 1.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0,1)")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    check_ratio(b)
     if not (k >= 0 and float(k).is_integer()):
         raise ValueError("k must be nonnegative and an integer")
     if k == 0:
@@ -192,10 +192,9 @@ def weak_eigenmode(r, delta: float, alpha: float, b: float):
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
-    if not alpha >= 0.0:
-        raise ValueError("anchoring strength must be nonnegative")
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0,1)")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("anchoring strength must be nonnegative and finite")
+    check_ratio(b)
     if abs(alpha - delta) < 1e-12:
         raise DegenerateCoefficient("alpha - delta smaller than 1e-12")
     r = np.asarray(r, dtype=float)

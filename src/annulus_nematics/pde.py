@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import NEWTON_TOL, NewtonDiverged, SolveReport, min_eigenvalue
+from .numerics import (NEWTON_TOL, NewtonDiverged, SolveReport, check_ratio,
+                       check_sector, min_eigenvalue)
 from .of_weak import AnchoringParams
 
 
@@ -47,11 +48,6 @@ def _check_anisotropy(delta: float) -> None:
                                  f"range (finite, at most {MAX_ANISOTROPY})")
 
 
-def _check_ratio(b: float) -> None:
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0,1)")
-
-
 @dataclass(frozen=True)
 class PolarGrid:
     """Tensor grid uniform in log-radius and azimuth."""
@@ -68,14 +64,14 @@ class PolarGrid:
 
     @classmethod
     def annulus(cls, b: float, nr: int, nphi: int) -> "PolarGrid":
-        _check_ratio(b)
+        check_ratio(b)
         x = np.linspace(math.log(b), 0.0, nr)
         phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
         return cls(nr, nphi, np.exp(x), phi, periodic=True)
 
     @classmethod
     def sector(cls, b: float, N: int, nr: int, nphi: int) -> "PolarGrid":
-        _check_ratio(b)
+        check_sector(N, b)
         x = np.linspace(math.log(b), 0.0, nr)
         phi = np.linspace(0.0, 2.0 * math.pi / N, nphi)
         return cls(nr, nphi, np.exp(x), phi, periodic=False)

@@ -29,6 +29,14 @@ def runner():
     return CliRunner()
 
 
+def assert_config_error(res, message):
+    """Exit 2 with ``message`` on the one ``Error:`` line of stderr."""
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    (line,) = [ln for ln in res.stderr.splitlines() if ln.startswith("Error: ")]
+    assert message in line, line
+
+
 class TestStabilityStrong:
     def test_table_matches_closed_form(self, runner, tmp_path):
         out = tmp_path / "ss.csv"
@@ -81,15 +89,17 @@ class TestStabilityWeak:
                 assert np.all(data[:, 1] < 1.0)
             assert np.all((0 < data[:, 0]) & (data[:, 0] < 1))
 
-    @pytest.mark.parametrize("args", [["--steps", "0"],
-                                      ["--alpha-min", "nan"],
-                                      ["--alpha-max", "inf"]],
-                             ids=["no_steps", "nan_alpha", "inf_alpha"])
-    def test_bad_input_is_config_error(self, runner, tmp_path, args):
+    @pytest.mark.parametrize("args, message", [
+        (["--steps", "0"], "need alpha-min < alpha-max and steps >= 1"),
+        (["--alpha-min", "nan"], "'nan' is not a finite number"),
+        (["--alpha-max", "inf"], "'inf' is not a finite number"),
+        (["--alpha-min", "-1"], "alpha must be positive and finite"),
+    ], ids=["no_steps", "nan_alpha", "inf_alpha", "negative_alpha"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args, message):
         prefix = str(tmp_path / "sw")
         res = runner.invoke(main, ["stability-weak", "--b", "0.5", "--k", "1",
                                    *args, "--out-prefix", prefix])
-        assert res.exit_code == 2, res.output
+        assert_config_error(res, message)
         assert not (tmp_path / "sw_k1.csv").exists()
 
     def test_overflowing_alpha_squares(self, runner, tmp_path):
@@ -158,6 +168,13 @@ class TestSpiral:
         res = runner.invoke(main, ["spiral", "--b", "0.5", "--delta", "1.5",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2, res.output
+
+    def test_radius_ratio_above_one_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["spiral", "--b", "1.5", "--delta", "0.9",
+                                   "--out", str(out)])
+        assert_config_error(res, "radius ratio b must lie in (0,1), got 1.5")
+        assert not out.exists()
 
     def test_svg_bytes_pinned(self, runner, tmp_path):
         # the README spiral plot; director_plot's canvas is fixed
@@ -240,24 +257,28 @@ class TestPdeSolve:
         for key in ("assemble_s", "linear_solve_s", "line_search_s"):
             assert report[key] >= 0.0
 
-    @pytest.mark.parametrize("args", [
-        ["--delta", "0.995"],
-        ["--nr", "8"],
-        ["--alpha", "-1"],
-        ["--sector-n", "2", "--alpha", "1"],
-        ["--sector-n", "0"],
-        ["--pin-eps", "0.1"],
-        ["--sector-n", "2", "--pin-eps", "-0.1"],
-        ["--sector-n", "2", "--pin-eps", "0"],
+    @pytest.mark.parametrize("args, message", [
+        (["--delta", "0.995"],
+         "anisotropy 0.995 is outside the validated range"),
+        (["--nr", "8"], "grid needs at least 16 nodes per direction"),
+        (["--alpha", "-1"], "anchoring strength must be nonnegative and finite"),
+        (["--sector-n", "2", "--alpha", "1"],
+         "weak anchoring (--alpha) needs the full annulus"),
+        (["--sector-n", "0"], "sector count must be a positive integer"),
+        (["--sector-n", "-2"], "sector count must be a positive integer"),
+        (["--pin-eps", "0.1"],
+         "core pinning (--pin-eps) needs a sector (--sector-n)"),
+        (["--sector-n", "2", "--pin-eps", "-0.1"], "core radius must be positive"),
+        (["--sector-n", "2", "--pin-eps", "0"], "core radius must be positive"),
     ], ids=["singular_anisotropy", "coarse_grid", "negative_alpha",
-            "alpha_on_sector", "zero_sectors", "pin_on_annulus",
-            "negative_pin", "zero_pin"])
-    def test_bad_input_is_config_error(self, runner, tmp_path, args):
+            "alpha_on_sector", "zero_sectors", "negative_sectors",
+            "pin_on_annulus", "negative_pin", "zero_pin"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args, message):
         out = tmp_path / "fld.csv"
         res = runner.invoke(main, ["pde-solve", "--b", "0.3", "--delta", "0.5",
                                    "--nr", "24", "--nphi", "20", *args,
                                    "--out", str(out)])
-        assert res.exit_code == 2, res.output
+        assert_config_error(res, message)
         assert not out.exists()
 
     def test_unwritable_out_is_config_error(self, runner, tmp_path):
@@ -344,16 +365,22 @@ class TestBifurcation:
         for d, amp in data[:, :2]:
             assert abs(amp - spiral_solve(d, 0.2).u_max) < 1e-3
 
-    @pytest.mark.parametrize("args", [
-        ["--delta-min", "0.9", "--delta-max", "1.2", "--nr", "33"],
-        ["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "8"],
-        ["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "33", "--steps", "0"],
-    ], ids=["singular_range", "coarse_grid", "no_steps"])
-    def test_bad_input_is_config_error(self, runner, tmp_path, args):
+    @pytest.mark.parametrize("args, message", [
+        (["--delta-min", "0.9", "--delta-max", "1.2", "--nr", "33"],
+         # the first of the four steps beyond 0.99
+         "anisotropy 1.0 is outside the validated range"),
+        (["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "8"],
+         "grid needs at least 16 nodes per direction"),
+        (["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "33", "--steps", "0"],
+         "need steps >= 1"),
+        (["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "33", "--b", "1.5"],
+         "radius ratio b must lie in (0,1), got 1.5"),
+    ], ids=["singular_range", "coarse_grid", "no_steps", "b_above_one"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args, message):
         out = tmp_path / "bf.csv"
         res = runner.invoke(main, ["bifurcation", "--b", "0.2", "--steps", "4",
                                    *args, "--out", str(out)])
-        assert res.exit_code == 2, res.output
+        assert_config_error(res, message)
         assert not out.exists()
 
     def test_unwritable_out_is_config_error(self, runner, tmp_path):
@@ -406,16 +433,41 @@ class TestLdgCommands:
                                    "--out", str(tmp_path / "ls.csv")])
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize("args, message", [
+        (["ldg-profile", "--b", "1.5", "--t", "1"],
+         "radius ratio b must lie in (0,1), got 1.5"),
+        (["ldg-profile", "--b", "0.5", "--t", "-1"],
+         "t must be nonnegative and finite"),
+        (["ldg-profile", "--b", "0.5", "--t", "1", "--n-nodes", "3"],
+         "n_nodes must be at least 16"),
+        (["ldg-profile", "--b", "0.5", "--t", "1", "--n-nodes", "-3"],
+         "n_nodes must be at least 16"),
+        (["ldg-stability", "--b", "0.5", "--t", "40", "--n", "0,-1",
+          "--n-nodes", "201"], "block index must be a nonnegative integer"),
+        (["ldg-stability", "--b", "0.5", "--t", "40", "--n-nodes", "3"],
+         "n_nodes must be at least 16"),
+    ], ids=["profile_b_above_one", "profile_negative_t", "profile_few_nodes",
+            "profile_negative_nodes", "stability_negative_block",
+            "stability_few_nodes"])
+    def test_bad_input_is_config_error(self, runner, tmp_path, args, message):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert_config_error(res, message)
+        assert not out.exists()
+
     def test_solver_failure_exit_code(self, runner, tmp_path):
         # a 1/sqrt(t) boundary layer far below the grid spacing defeats
         # Newton: reported as a solver failure
         res = runner.invoke(main, ["ldg-profile", "--b", "0.5", "--t", "1e9",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 3
-        # the BVP solver's report, as pde-solve's
+        # the BVP solver's report, as pde-solve's, with its phase times and
+        # one factorization per banded solve
         (line,) = res.stderr.splitlines()
         report = json.loads(line)["report"]
-        assert report["converged"] is False and report["iterations"] >= 1
+        assert report["converged"] is False
+        assert report["factorizations"] >= report["iterations"] >= 1
+        assert report["assemble_s"] > 0.0 and report["linear_solve_s"] > 0.0
 
     def test_infinite_t_is_config_error(self, runner, tmp_path):
         out = tmp_path / "lp.csv"

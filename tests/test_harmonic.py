@@ -535,6 +535,12 @@ class TestTotalEnergy:
         with pytest.raises(ValueError, match="K must be positive"):
             total_energy("U2", 2, 0.5, 0.01, K=K)
 
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_rejects_non_finite_elastic_constant(self, K):
+        # inf used to return inf
+        with pytest.raises(ValueError, match="K must be positive and finite"):
+            total_energy("U2", 2, 0.5, 0.002, K=K)
+
 
 class TestEnergyOracle:
     def test_all_kinds_within_one_percent(self):

@@ -85,6 +85,14 @@ def test_params_reject_infinite_t():
         LdGParams(math.inf)
 
 
+@pytest.mark.parametrize("solver", [solve_s, solve_u], ids=["s", "u"])
+@pytest.mark.parametrize("n_nodes", [3, -3])
+def test_too_few_nodes_rejected(solver, n_nodes):
+    # -3 used to reach numpy's "Number of samples, -3, must be non-negative."
+    with pytest.raises(ValueError, match="n_nodes must be at least 16"):
+        solver(0.5, LdGParams(1.0), n_nodes=n_nodes)
+
+
 class TestSolveS:
     def test_zero_t_closed_form(self):
         b = 0.5

@@ -314,6 +314,13 @@ class TestSpiral:
         with pytest.raises(NoSpiralBranch):
             spiral_solve(delta_n(b, 1) - 1e-6, b)
 
+    @pytest.mark.parametrize("delta", [math.nan, 1.5])
+    def test_rejects_anisotropy_above_one(self, delta):
+        # nan used to raise NoSpiralBranch("failed to bracket the maximum
+        # offset") instead of rejecting the anisotropy
+        with pytest.raises(ValueError, match="anisotropy cannot exceed 1"):
+            spiral_solve(delta, 0.5)
+
     def test_no_branch_within_rounding_of_critical(self):
         # the half-period integral at the lowest bracket end already
         # reaches the target, so no offset is resolvable

@@ -88,6 +88,11 @@ class TestCompatResidual:
         with pytest.raises(ValueError, match="alpha must be positive"):
             compat_residual(0.5, math.nan, 0.5, 0)
 
+    def test_rejects_infinite_alpha(self):
+        # inf used to return nan
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            compat_residual(0.5, math.inf, 0.5, 0)
+
     def test_pole_proximity_raises(self):
         b = 0.5
         length = math.log(1.0 / b)
@@ -139,6 +144,11 @@ class TestDeltaWeak:
         # nan used to report "no critical anisotropy" (None)
         with pytest.raises(ValueError, match="alpha must be positive"):
             delta_weak(math.nan, 0.5, 0)
+
+    def test_rejects_infinite_alpha(self):
+        # inf used to report "no critical anisotropy" (None)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            delta_weak(math.inf, 0.5, 0)
 
     def test_k1_absent_above_one(self):
         assert delta_weak(1.5, 0.5, 1) is None
@@ -258,10 +268,12 @@ class TestWeakEigenmode:
     @pytest.mark.parametrize("alpha, b, match", [
         (-1.0, 0.5, "anchoring strength"),
         (math.nan, 0.5, "anchoring strength"),
+        (math.inf, 0.5, "anchoring strength must be nonnegative and finite"),
         (2.0, 7.0, r"b must lie in \(0,1\)"),
         (2.0, 0.0, r"b must lie in \(0,1\)"),
         (2.0, math.nan, r"b must lie in \(0,1\)"),
-    ], ids=["negative_alpha", "nan_alpha", "b_above_one", "b_zero", "nan_b"])
+    ], ids=["negative_alpha", "nan_alpha", "inf_alpha", "b_above_one", "b_zero",
+            "nan_b"])
     def test_rejects_parameters_outside_domain(self, alpha, b, match):
         with pytest.raises(ValueError, match=match):
             weak_eigenmode(0.7, 0.5, alpha, b)
@@ -328,3 +340,8 @@ def test_anchoring_params_validation():
 def test_anchoring_params_reject_nan():
     with pytest.raises(ValueError, match="anchoring strength"):
         AnchoringParams(math.nan)
+
+
+def test_anchoring_params_reject_inf():
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        AnchoringParams(math.inf)

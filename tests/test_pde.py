@@ -63,6 +63,12 @@ class TestGrids:
         with pytest.raises(ValueError, match="b must lie in"):
             make(b)
 
+    @pytest.mark.parametrize("N", [0, -2, 1.5, math.nan])
+    def test_sector_count_must_be_positive_integer(self, N):
+        # N = 0 used to raise ZeroDivisionError, and -2 and 1.5 built grids
+        with pytest.raises(ValueError, match="sector count must be a positive integer"):
+            PolarGrid.sector(0.5, N, 17, 17)
+
     @pytest.mark.parametrize("eps_core", [0.0, -0.1])
     def test_pin_radius_must_be_positive(self, eps_core):
         # a negative radius used to pin the cores of its absolute value
