@@ -423,6 +423,8 @@ def ldg_stability(b, t, ns, n_nodes, out, fmt):
     except ValueError:
         raise ConfigError(f"cannot parse block list {ns!r}")
     params = ldg.LdGParams(t)
+    for n in n_list:
+        ldg.check_block_index(n)
     rows = [(float(n), ldg.min_eig_Ln(n, b, params, n_nodes=n_nodes))
             for n in n_list]
     thr = ldg.stability_threshold(b)

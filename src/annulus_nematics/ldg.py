@@ -170,6 +170,12 @@ def _check_component(p: GridFunction, r: np.ndarray):
         raise ValueError("perturbation components must vanish at the endpoints")
 
 
+def check_block_index(n) -> None:
+    """Reject a block index that is not a nonnegative integer, nan included."""
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError("block index must be a nonnegative integer")
+
+
 def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
              d: GridFunction, s: OrderProfile) -> float:
     """Quadratic form of the n-th azimuthal block at a given perturbation.
@@ -179,8 +185,7 @@ def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
     components) against the order profile s, by Simpson quadrature on the
     shared grid.
     """
-    if not (n >= 0 and float(n).is_integer()):
-        raise ValueError("block index must be a nonnegative integer")
+    check_block_index(n)
     from scipy.integrate import simpson
     r = s.profile.nodes
     for p in (a, b_fn, c, d):
@@ -212,8 +217,7 @@ def min_eig_Ln(n: int, b: float, params: LdGParams, n_nodes: int = 401) -> float
     both components.  Only the sign is contractual: positive means no
     admissible perturbation of this order lowers the energy.
     """
-    if not (n >= 0 and float(n).is_integer()):
-        raise ValueError("block index must be a nonnegative integer")
+    check_block_index(n)
     s = solve_s(b, params, n_nodes=n_nodes)
     r = s.profile.nodes
     sv = s.profile.values

@@ -160,8 +160,9 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     multi-extremum solutions exist but carry more energy.
     """
     check_ratio(b)
-    # written so that nan fails it too
-    if not delta <= 1.0:
+    if math.isnan(delta):
+        raise ValueError("anisotropy must be a number, got nan")
+    if delta > 1.0:
         raise ValueError("anisotropy cannot exceed 1")
     d1 = delta_n(b, 1)
     if delta <= d1:

@@ -532,6 +532,10 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
     times = [build_s, 0.0, 0.0]
 
     alpha = bc.anchoring.alpha if bc.kind == "robin" else None
+    # at delta = 0 with Dirichlet edges the equation is the 5-point
+    # Laplacian: the full step lands on its one solution, which the
+    # quadrature energy of the guard may rank above the start
+    linear = delta == 0.0 and alpha is None
 
     def evaluate(th):
         """Residual of an iterate, and its max norm over the unknowns."""
@@ -594,7 +598,7 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
                 lam = 1.0
                 while lam >= 1e-4:
                     trial, e_try, r_try, rnorm_try = try_step(theta, step, lam)
-                    if e_try <= ceiling \
+                    if linear or e_try <= ceiling \
                             and (rnorm_try < rnorm or e_try < energy - 1e-14):
                         if chord and lam == 1.0 and rnorm_try <= 0.1 * rnorm:
                             kept = solve
@@ -740,6 +744,12 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     success doubles the next (Allgower and Georg, *Numerical Continuation
     Methods*, 1990, ch. 2); below ``CONTINUATION_MIN_STEP`` it gives up.
     Every step runs on one Newton system and takes chord steps.
+
+    U1 and U2 are mirror-symmetric about phi = pi/N, and Newton from the
+    harmonic state keeps that symmetry, the equation being equivariant
+    (Golubitsky, Stewart and Schaeffer, *Singularities and Groups in
+    Bifurcation Theory* II, 1988).  So they are solved on the half sector
+    phi <= pi/N, whose new edge keeps its harmonic values, and mirrored.
     """
     if not 0.0 < eps < b / 4.0:
         raise ValueError("core radius must lie in (0, b/4)")
@@ -748,19 +758,24 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     spec = state_coefficients(kind, N, full_annulus=False)
     span = 2.0 * math.pi / N
     hx = math.log(1.0 / b) / (nr - 1)
-    nphi = int(np.clip(round(span / hx) + 1, 65, 769))
+    # odd, so that the mirror line phi = span/2 is a grid column
+    nphi = int(np.clip(2 * round(span / (2.0 * hx)) + 1, 65, 769))
     grid = PolarGrid.sector(b, N, nr, nphi)
     eps1 = 5.0 * max(grid.hx, grid.hp)
     eps2 = 2.0 * eps1
     if eps2 / b >= min(math.log(1.0 / b), span) / 2.5:
         raise ValueError("grid too coarse to host the core exclusion disks")
+    harm = sector_state_field(grid, spec).theta
+    # the solved columns; the core disks lie within span/10 of their
+    # corners, so the half sector holds only the two at phi = 0
+    m = (nphi + 1) // 2 if kind in ("U1", "U2") else nphi
+    solved = PolarGrid(nr, m, grid.r_nodes, grid.phi_nodes[:m], periodic=False)
     # pin only the inner half of the measurement disk: the ring in between
     # lets the solution relax away from the reference core data
-    fld = sector_state_field(grid, spec)
     pin = corner_pin_mask(grid, 0.5 * eps1)
-    bc = BoundaryConditions(pin_mask=pin)
-    current = DirectorField(grid, fld.theta, bc)
-    system = _NewtonSystem(grid, bc)
+    bc = BoundaryConditions(pin_mask=pin[:, :m])
+    current = DirectorField(solved, harm[:, :m], bc)
+    system = _NewtonSystem(solved, bc)
     # fractions of delta, reached and next tried: sums of powers of two
     done, step, reports = 0.0, 1.0, []
     while done < 1.0:
@@ -778,6 +793,12 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
             continue
         reports.append(rep)
         done, step = target, min(2.0 * step, 1.0 - target)
+    theta = current.theta
+    if m < nphi:
+        # mirror the correction, which is zero on the edges and the cores
+        theta = np.hstack([theta,
+                           harm[:, m:] - (theta - harm[:, :m])[:, -2::-1]])
+    current = DirectorField(grid, theta, BoundaryConditions(pin_mask=pin))
     core_coef = 1.0 - 0.75 * delta
     t1 = of_energy_2d(current, delta, eps=eps1) / math.pi \
         - core_coef * math.log(1.0 / eps1)

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import annulus_nematics
+from annulus_nematics import ldg
 from annulus_nematics.cli import fmt17, load_field_csv, main, read_table
 from annulus_nematics.of_strong import delta_n, spiral_solve
 
@@ -425,6 +426,19 @@ class TestLdgCommands:
                                    "--n", "0,-2", "--n-nodes", "201",
                                    "--out", str(out)])
         assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    def test_bad_block_rejected_before_any_solve(self, runner, tmp_path,
+                                                 monkeypatch):
+        # a negative index used to be rejected only after blocks 0-2 solved
+        solved = []
+        monkeypatch.setattr(ldg, "min_eig_Ln",
+                            lambda n, *args, **kw: solved.append(n))
+        out = tmp_path / "ls.csv"
+        res = runner.invoke(main, ["ldg-stability", "--b", "0.5", "--t", "40",
+                                   "--n", "0,1,2,-1", "--out", str(out)])
+        assert_config_error(res, "block index must be a nonnegative integer")
+        assert solved == []
         assert not out.exists()
 
     def test_too_few_nodes_is_config_error(self, runner, tmp_path):

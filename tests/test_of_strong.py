@@ -314,12 +314,15 @@ class TestSpiral:
         with pytest.raises(NoSpiralBranch):
             spiral_solve(delta_n(b, 1) - 1e-6, b)
 
-    @pytest.mark.parametrize("delta", [math.nan, 1.5])
-    def test_rejects_anisotropy_above_one(self, delta):
-        # nan used to raise NoSpiralBranch("failed to bracket the maximum
-        # offset") instead of rejecting the anisotropy
+    def test_rejects_anisotropy_above_one(self):
         with pytest.raises(ValueError, match="anisotropy cannot exceed 1"):
-            spiral_solve(delta, 0.5)
+            spiral_solve(1.5, 0.5)
+
+    def test_rejects_nan_anisotropy(self):
+        # nan used to raise NoSpiralBranch("failed to bracket the maximum
+        # offset"), then "anisotropy cannot exceed 1"
+        with pytest.raises(ValueError, match="anisotropy must be a number, got nan"):
+            spiral_solve(math.nan, 0.5)
 
     def test_no_branch_within_rounding_of_critical(self):
         # the half-period integral at the lowest bracket end already

@@ -361,22 +361,53 @@ class TestStabilityProbe:
             stability_probe(fld, 0.5, 0.5, 0)
 
 
-def reference_state_energy(b, N, kind, delta, eps, nr):
-    """Reference: the fixed continuation schedule (0.3, 0.6, 0.8, delta)."""
+def reference_start(b, N, kind, nr):
+    """Reference: the pinned harmonic start of anisotropic_state_energy on
+    the full sector, and the inner core radius eps1."""
     spec = state_coefficients(kind, N, full_annulus=False)
+    span = 2.0 * math.pi / N
     hx = math.log(1.0 / b) / (nr - 1)
-    nphi = int(np.clip(round(2.0 * math.pi / N / hx) + 1, 65, 769))
+    nphi = int(np.clip(2 * round(span / (2.0 * hx)) + 1, 65, 769))
     grid = PolarGrid.sector(b, N, nr, nphi)
     eps1 = 5.0 * max(grid.hx, grid.hp)
     bc = BoundaryConditions(pin_mask=corner_pin_mask(grid, 0.5 * eps1))
-    fld = DirectorField(grid, sector_state_field(grid, spec).theta, bc)
-    for d in [d for d in (0.3, 0.6, 0.8) if d < delta] + [delta]:
-        fld, _ = solve_el(grid, d, bc, fld)
+    return DirectorField(grid, sector_state_field(grid, spec).theta, bc), eps1
+
+
+def reference_total_energy(fld, delta, eps, eps1):
+    """Reference: the extrapolated total energy of a converged field."""
     core_coef = 1.0 - 0.75 * delta
     finite = [of_energy_2d(fld, delta, eps=e) / math.pi
               - core_coef * math.log(1.0 / e) for e in (eps1, 2.0 * eps1)]
     return math.pi * (core_coef * math.log(1.0 / eps)
                       + 2.0 * finite[0] - finite[1])
+
+
+def reference_state_energy(b, N, kind, delta, eps, nr):
+    """Reference: the fixed continuation schedule (0.3, 0.6, 0.8, delta)."""
+    fld, eps1 = reference_start(b, N, kind, nr)
+    for d in [d for d in (0.3, 0.6, 0.8) if d < delta] + [delta]:
+        fld, _ = solve_el(fld.grid, d, fld.bc, fld)
+    return reference_total_energy(fld, delta, eps, eps1)
+
+
+def full_sector_state(b, N, kind, delta, nr):
+    """Reference: anisotropic_state_energy's continuation, on the full sector
+    for every kind.  Returns the converged field and eps1."""
+    fld, eps1 = reference_start(b, N, kind, nr)
+    system = _NewtonSystem(fld.grid, fld.bc)
+    done, step = 0.0, 1.0
+    while done < 1.0:
+        target = done + step
+        try:
+            fld, _ = pde._newton(system, target * delta, fld,
+                                 max_iter=pde.CONTINUATION_ITER, chord=True)
+        except NewtonDiverged:
+            step *= 0.5
+            assert step >= pde.CONTINUATION_MIN_STEP
+            continue
+        done, step = target, min(2.0 * step, 1.0 - target)
+    return fld, eps1
 
 
 STRONG = dict(b=0.3, N=2, delta=0.9, eps=0.002, nr=97)
@@ -472,6 +503,16 @@ class TestAnisotropicEnergy:
         assert all(rep.factorizations == rep.iterations for _, rep in exact)
         assert abs(e - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("b, N, kind", [
+        (0.7, 2, "D"), (0.7, 4, "D"), (0.8, 4, "U2"), (0.8, 4, "D"),
+        (0.9, 4, "D")])
+    def test_converges_at_zero_anisotropy(self, b, N, kind):
+        # these stalled: the energy guard rejected the full step that solves
+        # the linear delta = 0 problem, and every halved retry did the same
+        e = anisotropic_state_energy(b, N, kind, 0.0, 0.002, nr=97)
+        closed = total_energy(kind, N, b, 0.002, K=1.0)
+        assert abs(e - closed) < 0.01 * closed
+
     @pytest.mark.parametrize("kwargs, match", [
         (dict(eps=-0.002), "core radius"),
         (dict(eps=0.0), "core radius"),
@@ -483,6 +524,42 @@ class TestAnisotropicEnergy:
         args.update(kwargs)
         with pytest.raises(ValueError, match=match):
             anisotropic_state_energy(**args)
+
+
+# mirror-symmetric states (b, N, kind, delta) at nr = 97
+MIRROR_CASES = [(0.45, 2, "U2", 0.9), (0.3, 2, "U1", 0.9),
+                (0.3, 1, "U1", 0.6), (0.7, 4, "U2", 0.6),
+                (0.4456, 2, "U2", 0.0)]
+
+
+@pytest.fixture(scope="module", params=MIRROR_CASES,
+                ids=lambda c: "-".join(map(str, c)))
+def full_sector(request):
+    return request.param, *full_sector_state(*request.param, nr=97)
+
+
+class TestHalfSector:
+    def test_energy_matches_full_sector(self, full_sector, monkeypatch):
+        (b, N, kind, delta), fld, eps1 = full_sector
+        widths, real = [], pde._newton
+
+        def spy(system, *args, **kw):
+            widths.append(system.grid.nphi)
+            return real(system, *args, **kw)
+
+        monkeypatch.setattr(pde, "_newton", spy)
+        e = anisotropic_state_energy(b, N, kind, delta, 0.002, nr=97)
+        assert set(widths) == {(fld.grid.nphi + 1) // 2}
+        ref = reference_total_energy(fld, delta, 0.002, eps1)
+        assert abs(e - ref) <= 1e-12 * abs(ref)
+
+    def test_full_sector_state_is_mirror_symmetric(self, full_sector):
+        # theta(Phi - phi) = Phi - theta(phi) mod pi at every unknown
+        (b, N, kind, delta), fld, _ = full_sector
+        mirrored = fld.theta + fld.theta[:, ::-1] - 2.0 * math.pi / N
+        dev = np.remainder(mirrored + 0.5 * math.pi, math.pi) - 0.5 * math.pi
+        active = _NewtonSystem(fld.grid, fld.bc).active
+        assert np.max(np.abs(dev[active])) <= 1e-12
 
 
 TWO_PI = 2.0 * math.pi
