@@ -1,7 +1,8 @@
 """Shared numerical kernels for the annulus equilibrium computations.
 
 The domain checks of the radius ratio and the sector count, bracketed
-root finding, one memoized Gauss-Legendre rule, a damped-Newton solver for
+root finding, Carlson's symmetric elliptic integrals R_F and R_J, one
+memoized Gauss-Legendre rule, a damped-Newton solver for
 scalar two-point boundary value problems, and the smallest generalized
 eigenvalue of a discretized symmetric banded quadratic form.
 Everything here is pure apart from the memo of read-only quadrature rules,
@@ -141,6 +142,52 @@ def find_root(residual: Callable[[float], float],
             else:
                 hi, fhi = m, fm
     return 0.5 * (lo + hi)
+
+
+def carlson_rf_rj(x, y, z):
+    """Carlson's symmetric integrals R_F(x, y, z) and R_J(x, y, z, 1),
+    elementwise over broadcast arrays or numpy scalars.
+
+    One shared duplication loop of 7 steps, then the fifth-order series of
+    each (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26; DLMF 19.36(i)).
+    Meant for x, y, z >= 0, at most one of them zero, with
+    (1 - x)(1 - y)(1 - z) <= 0: then every R_C(1, 1 + e) of the R_J sum is
+    atanh(r)/r with r = sqrt(-e) in [0, 1).  Where that product is
+    positive, R_J comes back nan.
+    """
+    a_f, a_j = (x + y + z) / 3.0, (x + y + z + 2.0) / 5.0
+    fx, fy = a_f - x, a_f - y
+    jx, jy, jz = a_j - x, a_j - y, a_j - z
+    gap = a_j - a_f     # A_j - A_f shrinks by 4 a step; A_j is not iterated
+    # sqrt(-(1 - x)(1 - y)(1 - z)), floored so that where it is 0 every
+    # atanh(r) below is r, exactly
+    c = np.maximum(np.sqrt((x - 1.0) * (1.0 - y) * (1.0 - z)), 1e-150)
+    p, scale, acc = 1.0, 1.0, 0.0     # scale = 4^-m
+    for m in range(7):
+        sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
+        lam = sx * (sy + sz) + sy * sz
+        d = (sp + sx) * (sp + sy) * (sp + sz)
+        # 4^-m R_C(1, 1 + e_m) / d_m = 2^m atanh(r) / c, r = 8^-m c / d_m
+        acc = acc + np.arctanh(c * scale ** 1.5 / d) * 2.0 ** m
+        x, y, z, p = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (p + lam) / 4.0
+        a_f = (a_f + lam) / 4.0
+        scale /= 4.0
+    a_j = a_f + scale * gap
+    X, Y = scale * fx / a_f, scale * fy / a_f
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
+    X, Y, Z = scale * jx / a_j, scale * jy / a_j, scale * jz / a_j
+    P = -0.5 * (X + Y + Z)
+    xyz = X * Y * Z
+    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    e3 = xyz + 2.0 * e2 * P + 4.0 * P ** 3
+    e4 = (2.0 * xyz + e2 * P + 3.0 * P ** 3) * P
+    e5 = xyz * P * P
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    rj = scale * series / (a_j * np.sqrt(a_j)) + 6.0 * acc / c
+    return rf, rj
 
 
 @functools.cache

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (Bracket, GridFunction, check_ratio, find_root,
-                       gauss_legendre)
+from .numerics import (Bracket, GridFunction, carlson_rf_rj, check_ratio,
+                       find_root)
 
 
 class SubcriticalInput(ValueError):
@@ -137,12 +137,29 @@ def _integrand(w, delta: float, u_max: float):
     return 2.0 * w * np.sqrt(num / np.maximum(den, 1e-300))
 
 
-def _tail_integral(u_lo: np.ndarray, delta: float, u_max: float) -> np.ndarray:
-    """Vectorized integral from u_lo to u_max after the w^2 substitution."""
-    x, wt = gauss_legendre(64)
-    w_max = np.sqrt(np.maximum(u_max - u_lo, 0.0))
-    w = w_max[:, None] * (0.5 * (x + 1.0))[None, :]
-    return w_max * (_integrand(w, delta, u_max) @ (0.5 * wt))
+def _tail_integral(u_lo, delta: float, u_max: float):
+    """Turning-point integral t(U) from U = u_lo to u_max, elementwise.
+
+    With m = sin^2 u_max, q = 1 - delta + delta m, n' = delta m / q,
+    m' = -m / cos^2 u_max and y^2 = sin(u_max + U) sin(u_max - U) / m, it is
+    sqrt(q / (delta cos^2 u_max)) [y R_F(X) - (n'/3) y^3 R_J(X, 1)] with
+    X = (1 - y^2, 1 - m' y^2, 1 - n' y^2), each written without
+    cancellation.  At delta = 1 it is acosh(cos U / cos u_max).
+    """
+    c = math.cos(u_max)
+    if delta == 1.0:
+        z = 2.0 * np.sin(0.5 * (u_max + u_lo)) * np.sin(0.5 * (u_max - u_lo)) / c
+        return np.log1p(z + np.sqrt(z * (z + 2.0)))
+    m = math.sin(u_max) ** 2
+    q = 1.0 - delta + delta * m
+    n = delta * m / q
+    # squares as products: numpy squares arrays exactly but raises scalars
+    # through pow, and the root find's scalar calls must match array rows
+    s, k = np.sin(u_lo), np.cos(u_lo) / c
+    s2 = s * s / m
+    y2 = np.sin(u_max + u_lo) * np.sin(u_max - u_lo) / m
+    rf, rj = carlson_rf_rj(s2, k * k, (1.0 - delta) / q + n * s2)
+    return math.sqrt(q / delta) / c * np.sqrt(y2) * (rf - n / 3.0 * y2 * rj)
 
 
 def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
@@ -179,9 +196,11 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     # its tolerance, and the central second difference at the first
     # interior node scales any offset between t(U=0) and the pinned t=0 by
     # 1/h^2.  The inversion below therefore measures t from the integral
-    # u_max attains (same fixed-node quadrature), not from the target.
+    # u_max attains, not from the target.
     def half_integral(u0):
-        return float(_tail_integral(np.zeros(1), delta, u0)[0])
+        # a numpy scalar, not a 1-row array: the same bits, and a seventh
+        # of the numpy dispatch cost
+        return float(_tail_integral(np.float64(0.0), delta, u0))
 
     def residual(u0):
         return half_integral(u0) - target
@@ -207,13 +226,7 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     t_half = t_nodes[1:n_half]
 
     def t_of(u):
-        # Rows go in blocks of four, padded: BLAS sums the rows past a batch's
-        # last whole block in another order, so this keeps each node's bits as
-        # the active set shrinks.  Chunks bound the 64-column work arrays.
-        out = np.concatenate([u, np.zeros(-u.size % 4)])
-        for i in range(0, out.size, 1024):
-            out[i:i + 1024] = _tail_integral(out[i:i + 1024], delta, u_max)
-        return half - out[:u.size]
+        return half - _tail_integral(u, delta, u_max)
 
     # Predict each node in w = sqrt(u_max - u), where t(w) is smooth: linear
     # interpolation in a 64-row table, then two Newton steps on

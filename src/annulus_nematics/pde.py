@@ -547,14 +547,34 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
         vals = np.concatenate([p.ravel() for p in pieces])
         return r, (float(vals.max()) if vals.size else 0.0)
 
+    _, pp = grid.mesh()
+
+    def guard_energy(th):
+        """Elastic energy, plus on a Robin annulus the Rapini-Papoular
+        energy (alpha/2) r sum cos^2(theta - phi) hp of the circles r = b
+        and r = 1: the Robin rows are the gradient of the sum."""
+        energy = _energy_arrays(grid, th, delta)
+        if alpha is not None:
+            tilt = np.cos(th - pp) ** 2
+            energy += 0.5 * alpha * grid.hp * (grid.b * tilt[0].sum() + tilt[-1].sum())
+        return energy
+
+    def descent(r):
+        """Steepest descent of the guard energy at a residual.  Inside, the
+        residual is -dE/dtheta per cell area; the Robin rows are -dE/dtheta
+        (r = b) and +dE/dtheta (r = 1) per hp, on nodes of half a cell."""
+        out = r[0].copy()
+        for (rows, _), (res_b, _, _), sign in zip(_CIRCLES, r[2], (2.0, -2.0)):
+            out[rows[0]] = sign / grid.hx * res_b
+        return out
+
     def try_step(th, step, lam):
         """The iterate th + lam * step, its energy, residual and norm."""
         trial = th.copy()
         trial.ravel()[system.order] += lam * step
-        return (trial, _energy_arrays(grid, trial, delta),
-                *evaluate(trial))
+        return (trial, guard_energy(trial), *evaluate(trial))
 
-    energy = _energy_arrays(grid, theta, delta)
+    energy = guard_energy(theta)
     history = [energy]
     # the quadrature energy and the collocation residual are consistent
     # only to second order, so the monotonicity guard carries an
@@ -617,8 +637,8 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
             improved = False
             for _ in range(60):
                 trial = theta.copy()
-                trial[active] += tau * r[0][active]     # interior residual
-                e_try = _energy_arrays(grid, trial, delta)
+                trial[active] += tau * descent(r)[active]
+                e_try = guard_energy(trial)
                 if e_try <= energy + 1e-14:
                     theta, energy = trial, e_try
                     r, rnorm = evaluate(theta)

@@ -158,12 +158,12 @@ class TestSpiral:
 
     def test_within_rounding_of_critical_is_config_error(self, runner, tmp_path):
         # delta is one of the first doubles above delta_1: no resolvable offset
-        res = runner.invoke(main, ["spiral", "--b", "0.23166874668379783",
-                                   "--delta", "0.8218947974549444", "--n-profile", "5",
+        res = runner.invoke(main, ["spiral", "--b", "0.40276956216203735",
+                                   "--delta", "0.9226864850568275", "--n-profile", "5",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2, res.output
         assert "below resolution" in res.output
-        assert repr(delta_n(0.23166874668379783, 1)) in res.output
+        assert repr(delta_n(0.40276956216203735, 1)) in res.output
 
     def test_anisotropy_above_one_is_config_error(self, runner, tmp_path):
         res = runner.invoke(main, ["spiral", "--b", "0.5", "--delta", "1.5",

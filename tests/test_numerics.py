@@ -9,6 +9,7 @@ from annulus_nematics.numerics import (
     GridFunction,
     NewtonDiverged,
     NoSignChange,
+    carlson_rf_rj,
     find_root,
     min_eigenvalue,
     solve_bvp,
@@ -17,6 +18,40 @@ from annulus_nematics.numerics import (
 # Frozen oracle value (independent high-precision route, see test repo notes):
 #   root of tan(x)+x on [2,3] -> plain bisection to 1e-12
 TAN_ROOT = 2.0287578381104342
+
+
+class TestCarlson:
+    # (x, y, z, R_F(x, y, z), R_J(x, y, z, 1)) in 40-digit arithmetic from
+    # the double arguments, rounded to doubles
+    REFERENCE = [
+        (0.0, 2.0, 0.5, 1.52488683808189608223220897685242842824,
+         2.287330257122844123348313465278642642361),
+        (0.25, 1.5, 1e-08, 1.910844573677350796148314434691876249916,
+         3.207350067888229429035200534205220148746),
+        (0.5, 1000.0, 0.75, 0.1387707199230796274223778033530807376591,
+         0.0596542331370332044759166033473099846995),
+        (1e-3, 3.0, 0.999, 1.153763368040751860871561691018963540979,
+         1.467068057143572679457342435852943009999),
+        (1.0, 1.0, 1.0, 1.0, 1.0),
+    ]
+
+    def test_reference_values(self):
+        x, y, z, rf_ref, rj_ref = map(np.array, zip(*self.REFERENCE))
+        rf, rj = carlson_rf_rj(x, y, z)
+        assert np.max(np.abs(rf / rf_ref - 1.0)) < 4e-16
+        assert np.max(np.abs(rj / rj_ref - 1.0)) < 4e-16
+
+    def test_scalar_matches_array_row(self):
+        for x, y, z, _, _ in self.REFERENCE:
+            scalar = carlson_rf_rj(np.float64(x), np.float64(y), np.float64(z))
+            row = carlson_rf_rj(np.array([x]), np.array([y]), np.array([z]))
+            assert scalar == (row[0][0], row[1][0])
+
+    def test_nan_outside_its_domain(self):
+        # (1 - x)(1 - y)(1 - z) > 0 would need R_C on the atan branch
+        with np.errstate(invalid="ignore"):
+            rf, rj = carlson_rf_rj(np.array([0.5]), np.array([0.5]), np.array([0.5]))
+        assert np.isfinite(rf[0]) and np.isnan(rj[0])
 
 
 class TestFindRoot:

@@ -327,9 +327,9 @@ class TestSpiral:
     def test_no_branch_within_rounding_of_critical(self):
         # the half-period integral at the lowest bracket end already
         # reaches the target, so no offset is resolvable
-        b = 0.23166874668379783
+        b = 0.40276956216203735
         with pytest.raises(NoSpiralBranch, match="below resolution") as exc:
-            spiral_solve(0.8218947974549444, b, n_profile=5)
+            spiral_solve(0.9226864850568275, b, n_profile=5)
         assert repr(delta_n(b, 1)) in str(exc.value)
 
     @given(spiral_inputs())
@@ -347,6 +347,55 @@ class TestSpiral:
         assert v[0] == 0.0 and v[-1] == 0.0
         assert np.all(np.diff(v[:n_profile // 2 + 1]) >= 0.0)
         assert np.max(v) == state.u_max
+
+
+class TestTurningPointIntegral:
+    # (delta, U, t(U)) at u_max = 1.1 in 40-digit arithmetic from the double
+    # inputs; U = 1.099999999999 is the double 1.1 - 1e-12
+    TAIL = [
+        (0.85, 0.0, 1.757291851555400638381636688840130916476),
+        (0.85, 1e-06, 1.757291380190324411980899836614847730515),
+        (0.85, 0.55, 1.413374634919075783771769035016952220177),
+        (0.85, 1.099999999999, 2.191580857546754774454859336852480141433e-6),
+        (0.95, 0.0, 1.545685419112303758968988392094902035138),
+        (0.95, 1e-06, 1.545685161691029931605496902571173276509),
+        (0.95, 0.55, 1.29727655406228671168779832841074193393),
+        (0.95, 1.099999999999, 2.047018367318016628289172195910445248082e-6),
+        (0.999, 0.0, 1.431140798115797745301854613671328062501),
+        (0.999, 1e-06, 1.431140762614969002695751290069162993991),
+        (0.999, 0.55, 1.245426502595121326731139307813755333395),
+        (0.999, 1.099999999999, 1.983638449732020351692068992778803227694e-6),
+        (0.9999, 0.0, 1.428165630936656736214776526726524201588),
+        (0.9999, 1e-06, 1.428165619715362453500233647154695132158),
+        (0.9999, 0.55, 1.244500681877386915532527745054785377939),
+        (0.9999, 1.099999999999, 1.98251443628286442668160995911756332013e-6),
+        (1 - 1e-7, 0.0, 1.427764113078679575997217654033892939992),
+        (1 - 1e-7, 1e-06, 1.427764112723848228140384088604651897366),
+        (1 - 1e-7, 0.55, 1.244397971830273391505750474137615480614),
+        (1 - 1e-7, 1.099999999999, 1.98238975628910611692744143353396653737e-6),
+        (1.0, 0.0, 1.427763517217753673876348825744084783018),
+        (1.0, 1e-06, 1.427763517217192637217085095955477618912),
+        (1.0, 0.55, 1.244397869023019192165779272867388119258),
+        (1.0, 1.099999999999, 1.982389631492859846973856721737926301356e-6),
+    ]
+    # delta -> u_max at b = 0.2, the root of t(0) = log(5)/2, same arithmetic
+    U_MAX = {
+        0.9999: 0.7293708290343708320662894042145561138729,
+        0.99999: 0.7296855530697806587667044853722048052116,
+        1 - 1e-7: 0.7297271065020449349803128124893488495975,
+    }
+
+    @pytest.mark.parametrize("delta", sorted({row[0] for row in TAIL}))
+    def test_matches_reference(self, delta):
+        rows = [row for row in self.TAIL if row[0] == delta]
+        u = np.array([row[1] for row in rows])
+        ref = np.array([row[2] for row in rows])
+        assert np.max(np.abs(_tail_integral(u, delta, 1.1) / ref - 1.0)) < 4e-15
+
+    @pytest.mark.parametrize("delta", sorted(U_MAX))
+    def test_u_max_near_full_anisotropy(self, delta):
+        u_max = spiral_solve(delta, 0.2, n_profile=5).u_max
+        assert abs(u_max / self.U_MAX[delta] - 1.0) < 1e-12
 
 
 def zero_offset_state(b, t):

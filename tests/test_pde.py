@@ -131,6 +131,26 @@ class TestFixedPoint:
             solve_el(grid, 0.5, bc, fld)
 
 
+class TestRobinGuard:
+    # (b, alpha, delta, amplitude): seeded Robin starts that ran out of
+    # iterations while the line search guarded the bulk energy alone, whose
+    # gradient the Robin rows are not
+    @pytest.mark.parametrize("b,alpha,delta,amp", [
+        (0.519, 1.059, 0.847, 0.48), (0.229, 0.77, 0.827, 0.73),
+        (0.661, 0.65, 0.8, 0.36), (0.466, 0.924, 0.775, 0.76),
+        (0.283, 1.091, 0.756, 0.66), (0.462, 1.08, 0.904, 0.18)])
+    def test_seeded_start_converges(self, b, alpha, delta, amp):
+        grid = PolarGrid.annulus(b, 65, 32)
+        bc = BoundaryConditions(kind="robin", anchoring=AnchoringParams(alpha))
+        xx, pp = grid.mesh()
+        bump = np.exp(-((xx - 0.5 * math.log(b)) / (0.3 * math.log(1.0 / b))) ** 2)
+        start = defect_free_field(grid, bc).theta + amp * bump
+        out, rep = solve_el(grid, delta, bc, DirectorField(grid, start, bc))
+        assert rep.converged
+        # the start is rotationally symmetric, and so is the state found
+        assert np.max(np.ptp(out.theta - pp, axis=1)) < 1e-8
+
+
 class TestSectorSolve:
     def test_matches_series_oracle_with_refinement(self):
         b, N = 0.5, 4
@@ -875,6 +895,46 @@ def test_relaxation_fallback_matches_reference():
     assert rep.energy_history == history
     res, _ = reference_interior_residual(grid, theta, delta)
     assert rep.final_residual == float(np.max(np.abs(res[active])))
+
+
+def test_robin_relaxation_descends_total_energy(monkeypatch):
+    # with no usable factor every iteration falls back to relaxation; on a
+    # Robin annulus the sweeps descend bulk plus anchoring energy, and on
+    # the circles they follow the Robin rows, not the interior formula
+    alpha, delta = 2.0, 0.5
+    grid = PolarGrid.annulus(0.4, 33, 32)
+    bc = BoundaryConditions(kind="robin", anchoring=AnchoringParams(alpha))
+    xx, pp = grid.mesh()
+    theta = defect_free_field(grid, bc).theta + 0.3 * np.cos(xx) * np.sin(pp)
+    monkeypatch.setattr(pde._NewtonSystem, "factor", lambda self, jac: None)
+    with pytest.raises(NewtonDiverged) as info:
+        solve_el(grid, delta, bc, DirectorField(grid, theta, bc), max_iter=2)
+    rep = info.value.history[0]
+
+    def total_energy(th):
+        tilt = np.cos(th - pp) ** 2
+        return of_energy_2d(DirectorField(grid, th, bc), delta) \
+            + 0.5 * alpha * grid.hp * (grid.b * tilt[0].sum() + tilt[-1].sum())
+
+    energy = total_energy(theta)
+    history = [energy]
+    for _ in range(2):
+        tau = 0.2 * min(grid.hx, grid.hp) ** 2 / (1.0 + delta)
+        for _ in range(60):
+            res, _, robin = _residual(grid, theta, delta, alpha)
+            step = res.copy()
+            step[0] = 2.0 / grid.hx * robin[0][0]
+            step[-1] = -2.0 / grid.hx * robin[1][0]
+            e_try = total_energy(theta + tau * step)
+            if e_try <= energy + 1e-14:
+                theta, energy = theta + tau * step, e_try
+                history.append(energy)
+            else:
+                tau *= 0.5
+                if tau < 1e-12:
+                    break
+    assert history[-1] < history[0]
+    assert rep.energy_history == history
 
 
 @pytest.mark.parametrize("name, grid, bc, states, delta", newton_cases(),
