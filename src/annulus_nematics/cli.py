@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import harmonic, ldg, pde, svgplot
-from .numerics import NewtonDiverged
+from .numerics import NewtonDiverged, check_index
 from .of_strong import delta_n, spiral_solve
 from .of_weak import AnchoringParams, delta_weak
 
@@ -44,23 +44,18 @@ def open_output(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror}")
 
 
-def write_table(path: str, columns, rows, comment: str) -> None:
-    with open_output(path) as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
-
-
 def emit_table(path: str, fmt: str, columns, rows, comment: str) -> None:
-    if fmt == "csv":
-        return write_table(path, columns, rows, comment)
-    payload = {"schema_version": SCHEMA_VERSION, "comment": comment,
-               "columns": list(columns),
-               "rows": [list(map(float, row)) for row in rows]}
     with open_output(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        if fmt == "csv":
+            fh.write(f"# {comment}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(fmt17(v) for v in row) + "\n")
+            return
+        payload = {"schema_version": SCHEMA_VERSION, "comment": comment,
+                   "columns": list(columns),
+                   "rows": [list(map(float, row)) for row in rows]}
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def read_table(path: str):
@@ -208,8 +203,8 @@ def stability_weak(b, ks, alpha_min, alpha_max, steps, out_prefix, svg_path,
         k_list = [int(s) for s in ks.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse order list {ks!r}")
-    if min(k_list) < 0:
-        raise ConfigError("need orders k >= 0")
+    for k in k_list:
+        check_index(k, "k", 0)
     alphas = np.linspace(alpha_min, alpha_max, steps)
     series = []
     for k in k_list:
@@ -339,9 +334,9 @@ def pde_solve(b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
     for i, r in enumerate(grid.r_nodes):
         for j, ph in enumerate(grid.phi_nodes):
             rows.append((float(r), float(ph), float(fld.theta[i, j])))
-    write_table(out, ["r", "phi", "theta"], rows,
-                f"director field periodic={int(grid.periodic)} "
-                f"b={fmt17(b)} delta={fmt17(delta)}")
+    emit_table(out, "csv", ["r", "phi", "theta"], rows,
+               f"director field periodic={int(grid.periodic)} "
+               f"b={fmt17(b)} delta={fmt17(delta)}")
     click.echo(json.dumps(_report_dict(report)), err=True)
     if svg_path:
         xx, pp_arr = grid.mesh()
@@ -424,7 +419,7 @@ def ldg_stability(b, t, ns, n_nodes, out, fmt):
         raise ConfigError(f"cannot parse block list {ns!r}")
     params = ldg.LdGParams(t)
     for n in n_list:
-        ldg.check_block_index(n)
+        check_index(n, "block index", 0)
     rows = [(float(n), ldg.min_eig_Ln(n, b, params, n_nodes=n_nodes))
             for n in n_list]
     thr = ldg.stability_threshold(b)

@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import check_sector, gauss_legendre
+from .numerics import (check_core_radius, check_index, check_sector,
+                       gauss_legendre)
 
 
 KINDS = ("U1", "U2", "U3", "D")
@@ -53,8 +54,7 @@ class DefectStateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.N < 1:
-            raise ValueError("sector count must be positive")
+        check_index(self.N, "sector count", 1)
         if len(self.coefficients) != 5 or len(self.corner_strengths) != 4:
             raise ValueError("need 5 coefficients and 4 corner strengths")
 
@@ -74,8 +74,7 @@ def state_coefficients(kind: str, N: int, full_annulus: bool = True) -> DefectSt
     """
     if kind not in KINDS:
         raise ValueError(f"unknown state kind {kind!r}")
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError("sector count must be a positive integer")
+    check_index(N, "sector count", 1)
     if full_annulus and kind in ("U3", "D") and N % 2 == 1:
         raise InvalidTiling(f"{kind} tiles the annulus only for even N "
                             "(odd N would superpose opposite defects)")
@@ -336,8 +335,7 @@ def total_energy(kind: str, N: int, b: float, eps: float, K: float = 1.0) -> flo
     The contributions of the removed core arcs are of order eps and are
     dropped, matching the closed-form normalization.
     """
-    if not 0.0 < eps < b / 4.0:
-        raise ValueError("core radius must lie in (0, b/4)")
+    check_core_radius(eps, b)
     if not 0.0 < K < math.inf:
         raise ValueError("elastic constant K must be positive and finite")
     return K * math.pi * (math.log(1.0 / eps) + normalized_energy(kind, N, b))
@@ -447,8 +445,7 @@ def energy_quadrature_oracle(spec: DefectStateSpec, b: float, eps: float) -> flo
     :class:`QuadratureBudget` is raised.  Independent of the closed-form
     energy expressions.
     """
-    if not 0.0 < eps < b / 4.0:
-        raise ValueError("core radius must lie in (0, b/4)")
+    check_core_radius(eps, b)
     coarse = _oracle_level(spec, b, eps, n_psi=20, n_s=36, order=10, panel_div=2)
     fine = _oracle_level(spec, b, eps, n_psi=30, n_s=54, order=14, panel_div=3)
     if abs(fine - coarse) > max(1e-5 * abs(fine), 1e-7):

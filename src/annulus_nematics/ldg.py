@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (GridFunction, NewtonDiverged, check_ratio, min_eigenvalue,
-                       solve_bvp)
+from .numerics import (GridFunction, NewtonDiverged, check_index, check_ratio,
+                       min_eigenvalue, solve_bvp)
 
 
 def _spline_derivative(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -108,7 +108,8 @@ def _solve_profile(b: float, t: float, n_nodes: int, left: float, right: float,
                         n_nodes, init=init)
         return GridFunction(np.exp(sol.nodes), sol.values)
     except NewtonDiverged:
-        pass
+        if t <= 4.0:    # the continuation would repeat this very solve
+            raise
     # continuation: boundary layers at large t shrink the Newton basin,
     # so climb from the analytic t = 0 profile doubling t each step
     sol = init
@@ -170,12 +171,6 @@ def _check_component(p: GridFunction, r: np.ndarray):
         raise ValueError("perturbation components must vanish at the endpoints")
 
 
-def check_block_index(n) -> None:
-    """Reject a block index that is not a nonnegative integer, nan included."""
-    if not (n >= 0 and float(n).is_integer()):
-        raise ValueError("block index must be a nonnegative integer")
-
-
 def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
              d: GridFunction, s: OrderProfile) -> float:
     """Quadratic form of the n-th azimuthal block at a given perturbation.
@@ -185,7 +180,7 @@ def Ln_value(n: int, a: GridFunction, b_fn: GridFunction, c: GridFunction,
     components) against the order profile s, by Simpson quadrature on the
     shared grid.
     """
-    check_block_index(n)
+    check_index(n, "block index", 0)
     from scipy.integrate import simpson
     r = s.profile.nodes
     for p in (a, b_fn, c, d):
@@ -217,7 +212,7 @@ def min_eig_Ln(n: int, b: float, params: LdGParams, n_nodes: int = 401) -> float
     both components.  Only the sign is contractual: positive means no
     admissible perturbation of this order lowers the energy.
     """
-    check_block_index(n)
+    check_index(n, "block index", 0)
     s = solve_s(b, params, n_nodes=n_nodes)
     r = s.profile.nodes
     sv = s.profile.values

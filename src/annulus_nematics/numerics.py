@@ -1,10 +1,10 @@
 """Shared numerical kernels for the annulus equilibrium computations.
 
-The domain checks of the radius ratio and the sector count, bracketed
-root finding, Carlson's symmetric elliptic integrals R_F and R_J, one
-memoized Gauss-Legendre rule, a damped-Newton solver for
-scalar two-point boundary value problems, and the smallest generalized
-eigenvalue of a discretized symmetric banded quadratic form.
+The domain checks of the radius ratio, integer indices, the sector count
+and the core radius, bracketed root finding, Carlson's symmetric elliptic
+integrals R_F and R_J, one memoized Gauss-Legendre rule, a damped-Newton
+solver for scalar two-point boundary value problems, and the smallest
+generalized eigenvalue of a discretized symmetric banded quadratic form.
 Everything here is pure apart from the memo of read-only quadrature rules,
 so it is safe to call concurrently on independent inputs.
 """
@@ -25,12 +25,25 @@ def check_ratio(b: float) -> None:
         raise ValueError(f"radius ratio b must lie in (0,1), got {b}")
 
 
+def check_index(n, name: str, least: int) -> None:
+    """Reject an index that is not an integer of at least ``least`` (0 or 1),
+    nan included."""
+    if not (n >= least and float(n).is_integer()):
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer")
+
+
 def check_sector(N: int, b: float) -> None:
     """Reject a sector count that is not a positive integer, then a radius
     ratio outside (0, 1)."""
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError("sector count must be a positive integer")
+    check_index(N, "sector count", 1)
     check_ratio(b)
+
+
+def check_core_radius(eps: float, b: float) -> None:
+    """Reject a core radius outside (0, b/4), nan included."""
+    if not 0.0 < eps < b / 4.0:
+        raise ValueError("core radius must lie in (0, b/4)")
 
 
 class NoSignChange(ValueError):
@@ -207,11 +220,12 @@ def solve_bvp(ode_rhs: Callable,
 
     Second-order central finite differences on a uniform grid, damped
     Newton iteration (step halving until the residual decreases).  The
-    right-hand side must act elementwise on arrays.  Returns the solution
-    as a :class:`GridFunction`; the finite-difference residual at interior
-    nodes is below ``NEWTON_TOL`` in max norm, or below its rounding floor
-    4 eps max|y| / h^2 where that is larger, and the boundary values are
-    exact.
+    right-hand side must act elementwise on arrays; ``init`` starts the
+    iteration from values at the solver's own ``n_nodes`` nodes.  Returns
+    the solution as a :class:`GridFunction`; the finite-difference residual
+    at interior nodes is below ``NEWTON_TOL`` in max norm, or below its
+    rounding floor 4 eps max|y| / h^2 where that is larger, and the
+    boundary values are exact.
 
     Raises
     ------
@@ -227,11 +241,10 @@ def solve_bvp(ode_rhs: Callable,
     h = x[1] - x[0]
     if init is None:
         y = np.linspace(boundary_left, boundary_right, n_nodes)
+    elif len(init.values) == n_nodes:
+        y = init.values.copy()
     else:
-        if len(init.values) != n_nodes:
-            y = np.interp(x, init.nodes, init.values)
-        else:
-            y = init.values.copy()
+        raise ValueError("init must have n_nodes values")
     y[0], y[-1] = boundary_left, boundary_right
     xi = x[1:-1]
 

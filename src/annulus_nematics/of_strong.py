@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (Bracket, GridFunction, carlson_rf_rj, check_ratio,
-                       find_root)
+from .numerics import (Bracket, GridFunction, carlson_rf_rj, check_index,
+                       check_ratio, find_root)
 
 
 class SubcriticalInput(ValueError):
@@ -82,8 +82,7 @@ def delta_n(b: float, n: int) -> float:
     pi^2 n^2 / (pi^2 n^2 + log^2 b); strictly increasing in n, in (0,1).
     """
     check_ratio(b)
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError("mode index must be a positive integer")
+    check_index(n, "mode index", 1)
     p = (math.pi * n) ** 2
     return p / (p + math.log(b) ** 2)
 
@@ -91,8 +90,7 @@ def delta_n(b: float, n: int) -> float:
 def eigenmode(b: float, n: int, r):
     """Neutral radial mode sin(pi n log r / log b), unit amplitude."""
     check_ratio(b)
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError("mode index must be a positive integer")
+    check_index(n, "mode index", 1)
     r = np.asarray(r, dtype=float)
     out = np.sin(math.pi * n * np.log(r) / math.log(b))
     return float(out) if out.ndim == 0 else out

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Bracket, check_ratio, find_root, gauss_legendre
+from .numerics import (Bracket, check_index, check_ratio, find_root,
+                       gauss_legendre)
 
 
 class PoleProximity(ArithmeticError):
@@ -74,8 +75,7 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     check_ratio(b)
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError("k must be nonnegative and an integer")
+    check_index(k, "k", 0)
     length = math.log(1.0 / b)
     alpha_sq = _square(alpha)
     if k == 0:
@@ -160,8 +160,7 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     check_ratio(b)
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError("k must be nonnegative and an integer")
+    check_index(k, "k", 0)
     if k == 0:
         edges = _k0_pole_partition(alpha, b)
         return _smallest_root_in_cells(
@@ -211,13 +210,12 @@ def stability_region(b: float, k_max: int, alpha_grid) -> list[StabilityCurve]:
     Gaps are left where no critical anisotropy exists; every k >= 1 curve
     therefore ends at alpha = 1.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    check_index(k_max, "k_max", 0)
     alphas = [float(a) for a in alpha_grid]
     if alphas != sorted(alphas) or any(a <= 0 for a in alphas):
         raise ValueError("alpha grid must be positive and increasing")
     curves = []
-    for k in range(k_max + 1):
+    for k in range(int(k_max) + 1):
         pts = []
         for a in alphas:
             d = delta_weak(a, b, k)

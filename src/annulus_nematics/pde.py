@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (NEWTON_TOL, NewtonDiverged, SolveReport, check_ratio,
+from .numerics import (NEWTON_TOL, NewtonDiverged, SolveReport,
+                       check_core_radius, check_index, check_ratio,
                        check_sector, min_eigenvalue)
 from .of_weak import AnchoringParams
 
@@ -235,6 +236,28 @@ def _residual(grid: PolarGrid, theta: np.ndarray, delta: float,
     return res, (t_x, t_p, s, c, beta, gamma), robin
 
 
+def _core_weights(grid: PolarGrid, eps: float) -> np.ndarray:
+    """Cell weights that cut out the four corner disks of radius eps: a cell
+    within 1.5 grid steps of a disk rim weighs the share of its 4x4
+    supersample points outside the disk, every other cell 1."""
+    if grid.periodic:
+        raise ValueError("core exclusion requires a sector grid")
+    xx, pp = grid.mesh()
+    x_c = 0.25 * (xx[1:, 1:] + xx[1:, :-1] + xx[:-1, 1:] + xx[:-1, :-1])
+    p_c = 0.25 * (pp[1:, 1:] + pp[1:, :-1] + pp[:-1, 1:] + pp[:-1, :-1])
+    sub = (np.arange(4) - 1.5) / 4.0
+    sx, sp = sub[:, None] * grid.hx, sub[None, :] * grid.hp
+    reach = 1.5 * max(grid.hx, grid.hp)
+    weight = np.ones_like(x_c)
+    for (cx, cp, rho) in _corner_disks(grid, eps):
+        near = np.nonzero((x_c - cx) ** 2 + (p_c - cp) ** 2 < (rho + reach) ** 2)
+        xs = x_c[near][:, None, None] + sx
+        ps = p_c[near][:, None, None] + sp
+        frac = np.mean((xs - cx) ** 2 + (ps - cp) ** 2 >= rho ** 2, axis=(1, 2))
+        weight[near] = np.minimum(weight[near], frac)
+    return weight
+
+
 def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float,
                    eps: Optional[float] = None) -> float:
     """Cell-midpoint quadrature of the elastic density in (x, phi),
@@ -242,11 +265,9 @@ def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float,
 
     The conformal coordinates absorb the area weight, so splay and bend
     combine the plain x/phi derivatives.  With ``eps`` the four sector
-    corner disks are excluded, fractional cells by 4x4 supersampling.
+    corner disks are excluded by ``_core_weights``.
     """
-    if eps is not None and grid.periodic:
-        raise ValueError("core exclusion requires a sector grid")
-    xx, pp = grid.mesh()
+    _, pp = grid.mesh()
     # cell corners; on the annulus the ghost column closes the seam
     last = None if grid.periodic else -1
     th = _padded(grid, theta)[1:-1, 1:last]
@@ -260,25 +281,9 @@ def _energy_arrays(grid: PolarGrid, theta: np.ndarray, delta: float,
     splay = np.cos(diff) * t_p - np.sin(diff) * t_x
     bend = np.sin(diff) * t_p + np.cos(diff) * t_x
     dens = 0.5 * (1.0 - delta) * splay ** 2 + 0.5 * bend ** 2
-    weight = np.ones_like(dens)
     if eps is not None:
-        x_c = 0.25 * (xx[1:, 1:] + xx[1:, :-1] + xx[:-1, 1:] + xx[:-1, :-1])
-        # supersample cells near the disk rims for fractional weights
-        sub = (np.arange(4) - 1.5) / 4.0
-        sx = sub[:, None] * hx
-        sp = sub[None, :] * hp
-        for (cx, cp, rho) in _corner_disks(grid, eps):
-            d2 = (x_c - cx) ** 2 + (p_c - cp) ** 2
-            inside = d2 < (rho - 1.5 * max(hx, hp)) ** 2
-            rim = (~inside) & (d2 < (rho + 1.5 * max(hx, hp)) ** 2)
-            weight[inside] = 0.0
-            ks = np.nonzero(rim)
-            for a, bb in zip(*ks):
-                xs = x_c[a, bb] + sx
-                ps = p_c[a, bb] + sp
-                frac = np.mean((xs - cx) ** 2 + (ps - cp) ** 2 >= rho ** 2)
-                weight[a, bb] = min(weight[a, bb], frac)
-    return float(np.sum(dens * weight)) * hx * hp
+        dens *= _core_weights(grid, eps)
+    return float(np.sum(dens)) * hx * hp
 
 
 def of_energy_2d(fld: DirectorField, delta: float,
@@ -720,8 +725,7 @@ def stability_probe(base: DirectorField, delta: float, b: float, k: int,
     log-radius with the anchoring surface terms when the base carries
     Robin conditions.  A negative value signals instability.
     """
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError("k must be nonnegative and an integer")
+    check_index(k, "k", 0)
     if not -math.inf < delta < 1.0:
         raise ValueError("anisotropy must be finite and below 1")
     if not math.isclose(b, base.grid.b, rel_tol=1e-12):
@@ -771,8 +775,7 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     Bifurcation Theory* II, 1988).  So they are solved on the half sector
     phi <= pi/N, whose new edge keeps its harmonic values, and mirrored.
     """
-    if not 0.0 < eps < b / 4.0:
-        raise ValueError("core radius must lie in (0, b/4)")
+    check_core_radius(eps, b)
     _check_anisotropy(delta)
     from .harmonic import state_coefficients
     spec = state_coefficients(kind, N, full_annulus=False)

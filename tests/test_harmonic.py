@@ -633,7 +633,11 @@ class TestDomain:
         lambda: normalized_energy("U2", 2.5, 0.5),
         lambda: state_coefficients("U2", 2.5),
         lambda: series_s(1, math.nan, 0.5),
-    ], ids=["normalized_energy", "state_coefficients", "series_s_nan"])
+        # 1.5 used to be accepted
+        lambda: DefectStateSpec("U2", 1.5, (0.25, -0.5 * math.pi, 0.75,
+                                            -0.5 * math.pi, 0.75), (-1, 1, 1, -1)),
+    ], ids=["normalized_energy", "state_coefficients", "series_s_nan",
+            "defect_state_spec"])
     def test_rejects_non_integer_sector_count(self, call):
         with pytest.raises(ValueError, match="sector count"):
             call()

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import simpson
 
+from annulus_nematics import ldg
 from annulus_nematics.ldg import (
     GridMismatch,
     LdGParams,
@@ -91,6 +92,21 @@ def test_too_few_nodes_rejected(solver, n_nodes):
     # -3 used to reach numpy's "Number of samples, -3, must be non-negative."
     with pytest.raises(ValueError, match="n_nodes must be at least 16"):
         solver(0.5, LdGParams(1.0), n_nodes=n_nodes)
+
+
+def test_failed_solve_below_ladder_is_not_repeated(monkeypatch):
+    # up to t = 4 the continuation ladder is [t] from the same seed, so a
+    # failed direct solve is re-raised instead of being run again
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise NewtonDiverged("non-finite residual or Jacobian")
+
+    monkeypatch.setattr(ldg, "solve_bvp", failing)
+    with pytest.raises(NewtonDiverged, match="non-finite"):
+        solve_s(0.5, LdGParams(1.0), n_nodes=32)
+    assert len(calls) == 1
 
 
 class TestSolveS:

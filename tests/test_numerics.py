@@ -10,6 +10,8 @@ from annulus_nematics.numerics import (
     NewtonDiverged,
     NoSignChange,
     carlson_rf_rj,
+    check_core_radius,
+    check_index,
     find_root,
     min_eigenvalue,
     solve_bvp,
@@ -124,6 +126,37 @@ class TestSolveBvp:
         rhs = lambda x, y, yp: np.full_like(y, np.nan)
         with pytest.raises(NewtonDiverged, match="non-finite"):
             solve_bvp(rhs, 0.0, 1.0, (0.0, 1.0), 32)
+
+    def test_init_on_another_grid_rejected(self):
+        init = GridFunction(np.linspace(0.0, 1.0, 17), np.zeros(17))
+        with pytest.raises(ValueError, match="init must have n_nodes values"):
+            solve_bvp(lambda x, y, yp: y, 0.0, 1.0, (0.0, 1.0), 33, init=init)
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("n, least", [(0, 0), (3, 0), (1, 1), (4.0, 1)])
+    def test_index_accepted(self, n, least):
+        check_index(n, "index", least)
+
+    @pytest.mark.parametrize("n, least, message", [
+        (-1, 0, "index must be a nonnegative integer"),
+        (1.5, 0, "index must be a nonnegative integer"),
+        (math.nan, 0, "index must be a nonnegative integer"),
+        (0, 1, "index must be a positive integer"),
+        (math.inf, 1, "index must be a positive integer"),
+    ])
+    def test_index_rejected(self, n, least, message):
+        with pytest.raises(ValueError, match=message):
+            check_index(n, "index", least)
+
+    @pytest.mark.parametrize("eps, b", [(0.0, 0.5), (0.125, 0.5),
+                                        (math.nan, 0.5), (0.01, math.nan)])
+    def test_core_radius_rejected(self, eps, b):
+        with pytest.raises(ValueError, match=r"core radius must lie in \(0, b/4\)"):
+            check_core_radius(eps, b)
+
+    def test_core_radius_accepted(self):
+        check_core_radius(0.12, 0.5)
 
 
 class TestMinEigenvalue:

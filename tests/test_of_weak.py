@@ -77,11 +77,11 @@ class TestCompatResidual:
             assert abs(compat_residual(d, alpha, b, 0)) < 1e-9
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
             compat_residual(0.5, 0.5, 0.5, -1)
 
     def test_rejects_non_integer_order(self):
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
             compat_residual(0.5, 0.5, 0.5, 1.5)
 
     def test_rejects_nan_alpha(self):
@@ -131,13 +131,13 @@ class TestDeltaWeak:
 
     @pytest.mark.parametrize("k", [-1, -2])
     def test_rejects_negative_order(self, k):
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
             delta_weak(0.5, 0.5, k)
 
     @pytest.mark.parametrize("k", [1.5, 0.5, math.nan])
     def test_rejects_non_integer_order(self, k):
         # k = 1.5 used to return 0.8899 from the k >= 2 branch
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
             delta_weak(0.5, 0.5, k)
 
     def test_rejects_nan_alpha(self):
@@ -297,6 +297,16 @@ class TestStabilityRegion:
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             StabilityCurve(k=0, b=0.5, points=[(0.5, 0.7), (0.2, 0.6)])
+
+    @pytest.mark.parametrize("k_max", [1.5, -1, math.nan])
+    def test_rejects_non_integer_or_negative_k_max(self, k_max):
+        # 1.5 used to reach range() and raise TypeError
+        with pytest.raises(ValueError, match="k_max must be a nonnegative integer"):
+            stability_region(0.5, k_max, [0.5, 1.0])
+
+    def test_integral_float_k_max_accepted(self):
+        curves = stability_region(0.5, 2.0, [0.5, 1.0])
+        assert [c.k for c in curves] == [0, 1, 2]
 
 
 class TestWeakPitchfork:

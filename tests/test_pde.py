@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -15,6 +16,8 @@ from annulus_nematics.of_weak import AnchoringParams, delta_weak
 from annulus_nematics import pde
 from annulus_nematics.pde import (
     _NewtonSystem,
+    _core_weights,
+    _corner_disks,
     _derivative_fields,
     _padded,
     _residual,
@@ -221,6 +224,53 @@ class TestEnergy2d:
         fld = defect_free_field(grid)
         with pytest.raises(ValueError):
             of_energy_2d(fld, 0.0, eps=0.01)
+
+    @pytest.mark.parametrize("b", [0.3, 0.55])
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    @pytest.mark.parametrize("nr", [65, 97, 129])
+    def test_core_weights_match_per_cell_loop(self, b, N, nr):
+        # where both disk radii span at least 1.1 grid steps, the cells the
+        # loop zeroed outright have all 16 supersample points inside
+        grid = PolarGrid.sector(b, N, nr, 65)
+        step = max(grid.hx, grid.hp)
+        for eps in (1.1 * step, 2.5 * step, 5.0 * step):
+            assert np.array_equal(_core_weights(grid, eps),
+                                  per_cell_core_weights(grid, eps))
+
+    def test_energy_nonincreasing_in_core_radius(self):
+        # below 1.5 grid steps the per-cell loop zeroed cells outside the
+        # disks: it gave 5.39 at eps = 0.1 h and 5.86 at 0.5 h
+        grid = PolarGrid.sector(0.5, 2, 65, 65)
+        fld = sector_state_field(grid, state_coefficients("U2", 2))
+        step = max(grid.hx, grid.hp)
+        energies = [of_energy_2d(fld, 0.0, eps=f * step)
+                    for f in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
+        assert energies[0] > energies[2]
+        assert np.all(np.diff(energies) <= 0.0)
+
+
+def per_cell_core_weights(grid, eps):
+    """Reference: the weights of a cell-by-cell loop that zeroes cells
+    deep inside a disk and supersamples those near its rim."""
+    xx, pp = grid.mesh()
+    hx, hp = grid.hx, grid.hp
+    x_c = 0.25 * (xx[1:, 1:] + xx[1:, :-1] + xx[:-1, 1:] + xx[:-1, :-1])
+    p_c = 0.25 * (pp[1:, 1:] + pp[1:, :-1] + pp[:-1, 1:] + pp[:-1, :-1])
+    weight = np.ones_like(x_c)
+    sub = (np.arange(4) - 1.5) / 4.0
+    sx = sub[:, None] * hx
+    sp = sub[None, :] * hp
+    for (cx, cp, rho) in _corner_disks(grid, eps):
+        d2 = (x_c - cx) ** 2 + (p_c - cp) ** 2
+        inside = d2 < (rho - 1.5 * max(hx, hp)) ** 2
+        rim = (~inside) & (d2 < (rho + 1.5 * max(hx, hp)) ** 2)
+        weight[inside] = 0.0
+        for a, bb in zip(*np.nonzero(rim)):
+            xs = x_c[a, bb] + sx
+            ps = p_c[a, bb] + sp
+            frac = np.mean((xs - cx) ** 2 + (ps - cp) ** 2 >= rho ** 2)
+            weight[a, bb] = min(weight[a, bb], frac)
+    return weight
 
 
 class TestBifurcation:
@@ -935,6 +985,25 @@ def test_robin_relaxation_descends_total_energy(monkeypatch):
                     break
     assert history[-1] < history[0]
     assert rep.energy_history == history
+
+
+def test_relaxation_stall_reports_failure(monkeypatch):
+    # no usable factor, and a guard energy that rises on every trial: no
+    # relaxation sweep is accepted, so the solve stops at its first iterate
+    grid = PolarGrid.annulus(0.4, 33, 32)
+    xx, pp = grid.mesh()
+    theta = defect_free_field(grid).theta + 0.3 * np.cos(xx) * np.sin(pp)
+    rising = itertools.count()
+    monkeypatch.setattr(pde._NewtonSystem, "factor", lambda self, jac: None)
+    monkeypatch.setattr(pde, "_energy_arrays",
+                        lambda *args, **kw: float(next(rising)))
+    bc = BoundaryConditions()
+    with pytest.raises(NewtonDiverged, match="stalled at residual") as info:
+        solve_el(grid, 0.5, bc, DirectorField(grid, theta, bc))
+    assert len(info.value.history) == 1
+    rep = info.value.history[0]
+    assert not rep.converged
+    assert rep.iterations == 0 and rep.energy_history == [0.0]
 
 
 @pytest.mark.parametrize("name, grid, bc, states, delta", newton_cases(),
