@@ -343,8 +343,7 @@ def total_energy(kind: str, N: int, b: float, eps: float, K: float = 1.0) -> flo
 
 def crossover_N(b: float, N_max: int) -> Optional[int]:
     """Smallest even sector count where the diagonal state undercuts U2."""
-    if N_max < 2:
-        raise ValueError("N_max must be at least 2")
+    N_max = check_index(N_max, "N_max", 2)
     for N in range(2, N_max + 1, 2):
         if normalized_energy("D", N, b) < normalized_energy("U2", N, b):
             return N

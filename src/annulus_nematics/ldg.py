@@ -55,79 +55,80 @@ class OrderProfile:
     b: float
 
     def __post_init__(self):
-        if self.kind not in ("s_profile", "u_profile"):
+        if self.kind not in PROFILE_KINDS:
             raise ValueError("kind must be 's_profile' or 'u_profile'")
         v = self.profile.values
+        inner = PROFILE_KINDS[self.kind][0]
+        if abs(v[0] - inner) > 1e-9 or abs(v[-1] - SQRT_HALF) > 1e-9:
+            raise ValueError(f"{self.kind} endpoints must be {inner:.6g} "
+                             "at r = b and 1/sqrt(2) at r = 1")
         if self.kind == "s_profile":
-            if abs(v[0] - SQRT_HALF) > 1e-9 or abs(v[-1] - SQRT_HALF) > 1e-9:
-                raise ValueError("s-profile endpoints must equal 1/sqrt(2)")
             if np.any(v <= 0.0) or np.any(v > SQRT_HALF + 1e-9):
                 raise ValueError("s-profile must lie in (0, 1/sqrt(2)]")
-        else:
-            if abs(v[0]) > 1e-9 or abs(v[-1] - SQRT_HALF) > 1e-9:
-                raise ValueError("u-profile endpoints must be 0 and 1/sqrt(2)")
-            if np.min(np.diff(v)) < -1e-8:
-                raise ValueError("u-profile must be nondecreasing")
+        elif np.min(np.diff(v)) < -1e-8:
+            raise ValueError("u-profile must be nondecreasing")
 
 
 def s_profile_zero_t(b: float, r):
     """Closed-form order parameter at t = 0: (r^2 + b^2/r^2)/(sqrt2 (1+b^2))."""
     r = np.asarray(r, dtype=float)
-    return SQRT_HALF * (r ** 2 + b ** 2 / r ** 2) / (1.0 + b ** 2)
+    # a silent nan where b^2 and r^2 both underflow; the solve then fails
+    # on a non-finite residual
+    with np.errstate(invalid="ignore"):
+        return SQRT_HALF * (r ** 2 + b ** 2 / r ** 2) / (1.0 + b ** 2)
 
 
 def u_profile_zero_t(b: float, r):
     """Closed-form companion profile at t = 0 through (b, 0) and (1, 1/sqrt2)."""
     r = np.asarray(r, dtype=float)
-    return SQRT_HALF * (r ** 2 - b ** 4 / r ** 2) / (1.0 - b ** 4)
+    with np.errstate(invalid="ignore"):     # as in s_profile_zero_t
+        return SQRT_HALF * (r ** 2 - b ** 4 / r ** 2) / (1.0 - b ** 4)
 
 
-def _solve_profile(b: float, t: float, n_nodes: int, left: float, right: float,
-                   init_values) -> GridFunction:
-    """Solve the radial equation in log-radius and map back to r-nodes.
+# each profile kind's value at r = b and its t = 0 seed; both kinds take
+# 1/sqrt(2) at r = 1
+PROFILE_KINDS = {"s_profile": (SQRT_HALF, s_profile_zero_t),
+                 "u_profile": (0.0, u_profile_zero_t)}
+
+
+def _solve_profile(kind: str, b: float, params: LdGParams,
+                   n_nodes: int) -> OrderProfile:
+    """Solve the radial equation of one profile kind in log-radius.
 
     In x = log r the equation reads y'' = 4y + t e^{2x} y (2y^2 - 1); the
     transformed solution has mild, even curvature, which keeps the
     second-order residual well above the rounding floor of the divided
-    differences.
+    differences.  A solution outside the bounds the maximum principle
+    guarantees is a solver failure, not a caller error.
     """
     check_ratio(b)
     # before the grid is built: numpy's own message names no parameter
-    if n_nodes < 16:
-        raise ValueError("n_nodes must be at least 16")
+    n_nodes = check_index(n_nodes, "n_nodes", 16)
+    inner, seed = PROFILE_KINDS[kind]
+    x0 = math.log(b)
+    r = np.exp(np.linspace(x0, 0.0, n_nodes))
 
-    def make_rhs(tk):
-        def rhs(x, y, yp):
-            return 4.0 * y + tk * np.exp(2.0 * x) * y * (2.0 * y * y - 1.0)
-        return rhs
+    def solve(tk, init):
+        return solve_bvp(
+            lambda x, y: 4.0 * y + tk * np.exp(2.0 * x) * y * (2.0 * y * y - 1.0),
+            inner, SQRT_HALF, (x0, 0.0), n_nodes, init=init).values
 
-    x = np.linspace(math.log(b), 0.0, n_nodes)
-    init = GridFunction(x, init_values(b, np.exp(x)))
+    t, start = params.t, seed(b, r)
     try:
-        sol = solve_bvp(make_rhs(t), left, right, (math.log(b), 0.0),
-                        n_nodes, init=init)
-        return GridFunction(np.exp(sol.nodes), sol.values)
+        values = solve(t, start)
     except NewtonDiverged:
         if t <= 4.0:    # the continuation would repeat this very solve
             raise
-    # continuation: boundary layers at large t shrink the Newton basin,
-    # so climb from the analytic t = 0 profile doubling t each step
-    sol = init
-    steps = [t]
-    while steps[0] > 4.0:
-        steps.insert(0, steps[0] / 2.0)
-    for tk in steps:
-        sol = solve_bvp(make_rhs(tk), left, right, (math.log(b), 0.0),
-                        n_nodes, init=sol)
-    return GridFunction(np.exp(sol.nodes), sol.values)
-
-
-def _solved_profile(kind: str, sol: GridFunction, params: LdGParams,
-                    b: float) -> OrderProfile:
-    """A BVP solution outside the bounds the maximum principle guarantees
-    is a solver failure, not a caller error."""
+        # continuation: boundary layers at large t shrink the Newton basin,
+        # so climb from the analytic t = 0 profile doubling t each step
+        steps = [t]
+        while steps[0] > 4.0:
+            steps.insert(0, steps[0] / 2.0)
+        values = start
+        for tk in steps:
+            values = solve(tk, values)
     try:
-        return OrderProfile(kind, sol, params, b)
+        return OrderProfile(kind, GridFunction(r, values), params, b)
     except ValueError as exc:
         raise NewtonDiverged("BVP solution breaks the maximum principle: "
                              f"{exc}") from exc
@@ -140,16 +141,12 @@ def solve_s(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
     interior minimum; at t = 0 the equation is linear with the closed-form
     solution used as the Newton seed (and as the continuation start).
     """
-    sol = _solve_profile(b, params.t, n_nodes, SQRT_HALF, SQRT_HALF,
-                         s_profile_zero_t)
-    return _solved_profile("s_profile", sol, params, b)
+    return _solve_profile("s_profile", b, params, n_nodes)
 
 
 def solve_u(b: float, params: LdGParams, n_nodes: int = 801) -> OrderProfile:
     """Companion profile vanishing on the inner circle; unique and monotone."""
-    sol = _solve_profile(b, params.t, n_nodes, 0.0, SQRT_HALF,
-                         u_profile_zero_t)
-    return _solved_profile("u_profile", sol, params, b)
+    return _solve_profile("u_profile", b, params, n_nodes)
 
 
 def ldg_energy(profile: OrderProfile) -> float:

@@ -25,12 +25,14 @@ def check_ratio(b: float) -> None:
         raise ValueError(f"radius ratio b must lie in (0,1), got {b}")
 
 
-def check_index(n, name: str, least: int) -> None:
-    """Reject an index that is not an integer of at least ``least`` (0 or 1),
-    nan included."""
+def check_index(n, name: str, least: int) -> int:
+    """Reject an index or node count that is not an integer of at least
+    ``least``, nan included; return it as an int."""
     if not (n >= least and float(n).is_integer()):
-        kind = "positive" if least else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer")
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {kind}")
+    return int(n)
 
 
 def check_sector(N: int, b: float) -> None:
@@ -214,16 +216,16 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def solve_bvp(ode_rhs: Callable,
               boundary_left: float, boundary_right: float,
               interval: tuple[float, float], n_nodes: int,
-              init: Optional[GridFunction] = None,
+              init: Optional[np.ndarray] = None,
               max_iter: int = 60) -> GridFunction:
-    """Solve y'' = ode_rhs(x, y, y') with Dirichlet values at both ends.
+    """Solve y'' = ode_rhs(x, y) with Dirichlet values at both ends.
 
     Second-order central finite differences on a uniform grid, damped
     Newton iteration (step halving until the residual decreases).  The
-    right-hand side must act elementwise on arrays; ``init`` starts the
-    iteration from values at the solver's own ``n_nodes`` nodes.  Returns
-    the solution as a :class:`GridFunction`; the finite-difference residual
-    at interior nodes is below ``NEWTON_TOL`` in max norm, or below its
+    right-hand side must act elementwise on arrays; ``init`` holds the
+    start values at the solver's own ``n_nodes`` nodes.  Returns the
+    solution as a :class:`GridFunction`; the finite-difference residual at
+    interior nodes is below ``NEWTON_TOL`` in max norm, or below its
     rounding floor 4 eps max|y| / h^2 where that is larger, and the
     boundary values are exact.
 
@@ -233,25 +235,21 @@ def solve_bvp(ode_rhs: Callable,
         If the residual stalls or is not finite; the exception carries the
         ``SolveReport``.
     """
-    if n_nodes < 16:
-        raise ValueError("n_nodes must be at least 16")
+    n_nodes = check_index(n_nodes, "n_nodes", 16)
     import scipy.linalg
-    a, b = interval
-    x = np.linspace(a, b, n_nodes)
+    x = np.linspace(*interval, n_nodes)
     h = x[1] - x[0]
     if init is None:
         y = np.linspace(boundary_left, boundary_right, n_nodes)
-    elif len(init.values) == n_nodes:
-        y = init.values.copy()
+    elif len(init) == n_nodes:
+        y = np.array(init, dtype=float)
     else:
         raise ValueError("init must have n_nodes values")
     y[0], y[-1] = boundary_left, boundary_right
     xi = x[1:-1]
 
     def residual(yv):
-        d2 = (yv[2:] - 2.0 * yv[1:-1] + yv[:-2]) / h ** 2
-        d1 = (yv[2:] - yv[:-2]) / (2.0 * h)
-        return d2 - ode_rhs(xi, yv[1:-1], d1)
+        return (yv[2:] - 2.0 * yv[1:-1] + yv[:-2]) / h ** 2 - ode_rhs(xi, yv[1:-1])
 
     def stop(yv):
         # the second difference cannot resolve residuals below its
@@ -273,21 +271,14 @@ def solve_bvp(ode_rhs: Callable,
             return GridFunction(x, y)
         t0 = time.perf_counter()
         yi = y[1:-1]
-        d1 = (y[2:] - y[:-2]) / (2.0 * h)
         ey = 1e-7 * (1.0 + np.abs(yi))
-        ep = 1e-7 * (1.0 + np.abs(d1))
         # an overflowing quotient is caught by the non-finite guard below
         with np.errstate(over="ignore", invalid="ignore"):
-            f_y = (ode_rhs(xi, yi + ey, d1) - ode_rhs(xi, yi - ey, d1)) / (2.0 * ey)
-            f_p = (ode_rhs(xi, yi, d1 + ep) - ode_rhs(xi, yi, d1 - ep)) / (2.0 * ep)
-        # tridiagonal Jacobian of the interior residual
-        diag = -2.0 / h ** 2 - f_y
-        upper = 1.0 / h ** 2 - f_p / (2.0 * h)
-        lower = 1.0 / h ** 2 + f_p / (2.0 * h)
-        ab = np.zeros((3, n_nodes - 2))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
+            f_y = (ode_rhs(xi, yi + ey) - ode_rhs(xi, yi - ey)) / (2.0 * ey)
+        # tridiagonal Jacobian of the interior residual, in band storage
+        ab = np.empty((3, n_nodes - 2))
+        ab[0] = ab[2] = 1.0 / h ** 2
+        ab[1] = -2.0 / h ** 2 - f_y
         t1 = time.perf_counter()
         times[0] += t1 - t0
         if not (math.isfinite(rnorm) and np.isfinite(ab).all()):

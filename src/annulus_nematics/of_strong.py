@@ -103,6 +103,8 @@ def second_variation_radial(eta: GridFunction, delta: float, b: float) -> float:
     both endpoints and be sampled in r on [b, 1]; the derivative is taken
     by second-order differences on the given nodes.
     """
+    check_ratio(b)
+    ElasticParams(delta)    # the one check of delta
     r, v = eta.nodes, eta.values
     if abs(r[0] - b) > 1e-12 or abs(r[-1] - 1.0) > 1e-12:
         raise ValueError("profile nodes must span [b, 1]")
@@ -183,7 +185,8 @@ def spiral_solve(delta: float, b: float, n_profile: int = 1025) -> SpiralState:
     if delta <= d1:
         raise NoSpiralBranch(f"delta={delta} is at or below delta_1={d1:.6f}; "
                              "the offset equation has no positive solution")
-    if n_profile < 3 or n_profile % 2 == 0:
+    n_profile = check_index(n_profile, "n_profile", 3)
+    if n_profile % 2 == 0:
         raise ValueError("n_profile must be odd and at least 3")
     period = math.log(1.0 / b)
     target = 0.5 * period
@@ -315,6 +318,7 @@ def delta1_stability_coefficient(b: float, t):
     (2b - b^2 - 1) / (b^2 e^{2t} + e^{-2t} - b^2 - 1); at least 1 on the
     open interval 0 < t < log(1/b), with equality at the midpoint.
     """
+    check_ratio(b)
     t_arr = np.asarray(t, dtype=float)
     period = math.log(1.0 / b)
     if np.any(t_arr <= 0.0) or np.any(t_arr >= period):

@@ -49,6 +49,10 @@ def _check_anisotropy(delta: float) -> None:
                                  f"range (finite, at most {MAX_ANISOTROPY})")
 
 
+def _check_grid_size(nr: int, nphi: int) -> tuple[int, int]:
+    return check_index(nr, "nr", 16), check_index(nphi, "nphi", 16)
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     """Tensor grid uniform in log-radius and azimuth."""
@@ -60,12 +64,12 @@ class PolarGrid:
     periodic: bool
 
     def __post_init__(self):
-        if self.nr < 16 or self.nphi < 16:
-            raise ValueError("grid needs at least 16 nodes per direction")
+        _check_grid_size(self.nr, self.nphi)
 
     @classmethod
     def annulus(cls, b: float, nr: int, nphi: int) -> "PolarGrid":
         check_ratio(b)
+        nr, nphi = _check_grid_size(nr, nphi)
         x = np.linspace(math.log(b), 0.0, nr)
         phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
         return cls(nr, nphi, np.exp(x), phi, periodic=True)
@@ -73,6 +77,7 @@ class PolarGrid:
     @classmethod
     def sector(cls, b: float, N: int, nr: int, nphi: int) -> "PolarGrid":
         check_sector(N, b)
+        nr, nphi = _check_grid_size(nr, nphi)
         x = np.linspace(math.log(b), 0.0, nr)
         phi = np.linspace(0.0, 2.0 * math.pi / N, nphi)
         return cls(nr, nphi, np.exp(x), phi, periodic=False)
@@ -726,6 +731,7 @@ def stability_probe(base: DirectorField, delta: float, b: float, k: int,
     Robin conditions.  A negative value signals instability.
     """
     check_index(k, "k", 0)
+    n_nodes = check_index(n_nodes, "n_nodes", 16)
     if not -math.inf < delta < 1.0:
         raise ValueError("anisotropy must be finite and below 1")
     if not math.isclose(b, base.grid.b, rel_tol=1e-12):
@@ -775,6 +781,8 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     Bifurcation Theory* II, 1988).  So they are solved on the half sector
     phi <= pi/N, whose new edge keeps its harmonic values, and mirrored.
     """
+    # before hx: nr = 1 would divide by zero
+    nr = check_index(nr, "nr", 16)
     check_core_radius(eps, b)
     _check_anisotropy(delta)
     from .harmonic import state_coefficients

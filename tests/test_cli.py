@@ -261,7 +261,7 @@ class TestPdeSolve:
     @pytest.mark.parametrize("args, message", [
         (["--delta", "0.995"],
          "anisotropy 0.995 is outside the validated range"),
-        (["--nr", "8"], "grid needs at least 16 nodes per direction"),
+        (["--nr", "8"], "nr must be an integer of at least 16"),
         (["--alpha", "-1"], "anchoring strength must be nonnegative and finite"),
         (["--sector-n", "2", "--alpha", "1"],
          "weak anchoring (--alpha) needs the full annulus"),
@@ -371,7 +371,7 @@ class TestBifurcation:
          # the first of the four steps beyond 0.99
          "anisotropy 1.0 is outside the validated range"),
         (["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "8"],
-         "grid needs at least 16 nodes per direction"),
+         "nr must be an integer of at least 16"),
         (["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "33", "--steps", "0"],
          "need steps >= 1"),
         (["--delta-min", "0.1", "--delta-max", "0.2", "--nr", "33", "--b", "1.5"],
@@ -453,13 +453,13 @@ class TestLdgCommands:
         (["ldg-profile", "--b", "0.5", "--t", "-1"],
          "t must be nonnegative and finite"),
         (["ldg-profile", "--b", "0.5", "--t", "1", "--n-nodes", "3"],
-         "n_nodes must be at least 16"),
+         "n_nodes must be an integer of at least 16"),
         (["ldg-profile", "--b", "0.5", "--t", "1", "--n-nodes", "-3"],
-         "n_nodes must be at least 16"),
+         "n_nodes must be an integer of at least 16"),
         (["ldg-stability", "--b", "0.5", "--t", "40", "--n", "0,-1",
           "--n-nodes", "201"], "block index must be a nonnegative integer"),
         (["ldg-stability", "--b", "0.5", "--t", "40", "--n-nodes", "3"],
-         "n_nodes must be at least 16"),
+         "n_nodes must be an integer of at least 16"),
     ], ids=["profile_b_above_one", "profile_negative_t", "profile_few_nodes",
             "profile_negative_nodes", "stability_negative_block",
             "stability_few_nodes"])

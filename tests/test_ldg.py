@@ -90,7 +90,7 @@ def test_params_reject_infinite_t():
 @pytest.mark.parametrize("n_nodes", [3, -3])
 def test_too_few_nodes_rejected(solver, n_nodes):
     # -3 used to reach numpy's "Number of samples, -3, must be non-negative."
-    with pytest.raises(ValueError, match="n_nodes must be at least 16"):
+    with pytest.raises(ValueError, match="n_nodes must be an integer of at least 16"):
         solver(0.5, LdGParams(1.0), n_nodes=n_nodes)
 
 
@@ -107,6 +107,34 @@ def test_failed_solve_below_ladder_is_not_repeated(monkeypatch):
     with pytest.raises(NewtonDiverged, match="non-finite"):
         solve_s(0.5, LdGParams(1.0), n_nodes=32)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("solver", [solve_s, solve_u], ids=["s", "u"])
+def test_underflowing_ratio_fails_without_warning(solver):
+    # at b = 1e-300 both squares of the t = 0 seed underflow: the 0/0 used to
+    # warn before the solve failed, and the suite turns warnings into errors
+    with pytest.raises(NewtonDiverged, match="non-finite residual or Jacobian"):
+        solver(1e-300, LdGParams(1.0), n_nodes=32)
+
+
+@pytest.mark.parametrize("kind, solver", [("s_profile", solve_s),
+                                          ("u_profile", solve_u)])
+def test_solve_and_endpoint_check_share_one_table(kind, solver):
+    inner, seed = ldg.PROFILE_KINDS[kind]
+    v = solver(0.5, LdGParams(1.0), n_nodes=33).profile.values
+    assert (v[0], v[-1]) == (inner, SQRT_HALF)
+    r = np.linspace(0.5, 1.0, 33)
+    OrderProfile(kind, GridFunction(r, seed(0.5, r)), LdGParams(0.0), 0.5)
+
+
+def test_u_profile_endpoints_read_from_the_table():
+    r = np.linspace(0.5, 1.0, 33)
+    ramp = GridFunction(r, np.linspace(0.0, SQRT_HALF, 33))
+    OrderProfile("u_profile", ramp, LdGParams(1.0), 0.5)
+    flat = GridFunction(r, np.full(33, SQRT_HALF))
+    with pytest.raises(ValueError, match="u_profile endpoints must be 0 at r = b"):
+        OrderProfile("u_profile", flat, LdGParams(1.0), 0.5)
+    OrderProfile("s_profile", flat, LdGParams(1.0), 0.5)
 
 
 class TestSolveS:

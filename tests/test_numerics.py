@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulus_nematics import harmonic, ldg, of_strong, pde
 from annulus_nematics.numerics import (
     Bracket,
     GridFunction,
@@ -82,28 +83,29 @@ class TestFindRoot:
 
 class TestSolveBvp:
     def test_laplace_linear(self):
-        sol = solve_bvp(lambda x, y, yp: 0.0 * y, 0.0, 1.0, (0.0, 1.0), 33)
+        sol = solve_bvp(lambda x, y: 0.0 * y, 0.0, 1.0, (0.0, 1.0), 33)
         assert np.max(np.abs(sol.values - sol.nodes)) < 1e-12
 
     def test_sinh_closed_form(self):
-        sol = solve_bvp(lambda x, y, yp: y, 0.0, 1.0, (0.0, 1.0), 201)
+        sol = solve_bvp(lambda x, y: y, 0.0, 1.0, (0.0, 1.0), 201)
         exact = np.sinh(sol.nodes) / math.sinh(1.0)
         assert np.max(np.abs(sol.values - exact)) < 2e-6
 
     def test_radial_t0_profile(self):
-        # s'' + s'/r - 4 s/r^2 = 0 through (b, 1/sqrt2), (1, 1/sqrt2):
-        # solution C1 r^2 + C2 / r^2 with C1 = (1/sqrt2)/(b^2+1)
+        # s'' + s'/r - 4 s/r^2 = 0 through (b, 1/sqrt2), (1, 1/sqrt2) reads
+        # y'' = 4y in x = log r: solution C1 r^2 + C2 / r^2 with
+        # C1 = (1/sqrt2)/(b^2+1)
         b = 0.5
         v = 1.0 / math.sqrt(2.0)
-        rhs = lambda r, y, yp: -yp / r + 4.0 * y / r ** 2
-        sol = solve_bvp(rhs, v, v, (b, 1.0), 401)
+        sol = solve_bvp(lambda x, y: 4.0 * y, v, v, (math.log(b), 0.0), 401)
+        r = np.exp(sol.nodes)
         c1 = v / (b ** 2 + 1.0)
         c2 = v * b ** 2 / (b ** 2 + 1.0)
-        exact = c1 * sol.nodes ** 2 + c2 / sol.nodes ** 2
-        assert np.max(np.abs(sol.values - exact)) < 5e-7
+        exact = c1 * r ** 2 + c2 / r ** 2
+        assert np.max(np.abs(sol.values - exact)) < 2e-7
 
     def test_second_order_convergence(self):
-        rhs = lambda x, y, yp: y
+        rhs = lambda x, y: y
         errs = []
         for n in (101, 201):
             sol = solve_bvp(rhs, 0.0, 1.0, (0.0, 1.0), n)
@@ -112,31 +114,33 @@ class TestSolveBvp:
         assert errs[0] / errs[1] >= 3.5
 
     def test_boundary_exact(self):
-        sol = solve_bvp(lambda x, y, yp: y * y, 0.3, -0.7, (0.0, 2.0), 64)
+        sol = solve_bvp(lambda x, y: y * y, 0.3, -0.7, (0.0, 2.0), 64)
         assert sol.values[0] == 0.3 and sol.values[-1] == -0.7
 
     def test_diverging_problem_raises(self):
         # steep blow-up forces the damping to collapse
-        rhs = lambda x, y, yp: 1e8 * np.exp(8.0 * y) - 1e4 * yp ** 2
+        rhs = lambda x, y: 1e8 * np.exp(8.0 * y)
         with pytest.raises(NewtonDiverged) as err:
             solve_bvp(rhs, 0.0, 5.0, (0.0, 1.0), 32, max_iter=12)
         assert isinstance(err.value.history, list)
 
     def test_non_finite_residual_raises(self):
-        rhs = lambda x, y, yp: np.full_like(y, np.nan)
+        rhs = lambda x, y: np.full_like(y, np.nan)
         with pytest.raises(NewtonDiverged, match="non-finite"):
             solve_bvp(rhs, 0.0, 1.0, (0.0, 1.0), 32)
 
     def test_init_on_another_grid_rejected(self):
-        init = GridFunction(np.linspace(0.0, 1.0, 17), np.zeros(17))
+        init = np.zeros(17)
         with pytest.raises(ValueError, match="init must have n_nodes values"):
-            solve_bvp(lambda x, y, yp: y, 0.0, 1.0, (0.0, 1.0), 33, init=init)
+            solve_bvp(lambda x, y: y, 0.0, 1.0, (0.0, 1.0), 33, init=init)
 
 
 class TestDomainChecks:
-    @pytest.mark.parametrize("n, least", [(0, 0), (3, 0), (1, 1), (4.0, 1)])
+    @pytest.mark.parametrize("n, least", [(0, 0), (3, 0), (1, 1), (4.0, 1),
+                                          (16, 16)])
     def test_index_accepted(self, n, least):
-        check_index(n, "index", least)
+        assert check_index(n, "index", least) == n
+        assert type(check_index(n, "index", least)) is int
 
     @pytest.mark.parametrize("n, least, message", [
         (-1, 0, "index must be a nonnegative integer"),
@@ -144,10 +148,42 @@ class TestDomainChecks:
         (math.nan, 0, "index must be a nonnegative integer"),
         (0, 1, "index must be a positive integer"),
         (math.inf, 1, "index must be a positive integer"),
+        (15, 16, "index must be an integer of at least 16"),
+        (16.5, 16, "index must be an integer of at least 16"),
     ])
     def test_index_rejected(self, n, least, message):
         with pytest.raises(ValueError, match=message):
             check_index(n, "index", least)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: solve_bvp(lambda x, y: y, 0.0, 1.0, (0.0, 1.0), 16.5),
+         "n_nodes must be an integer of at least 16"),
+        (lambda: ldg.min_eig_Ln(0, 0.5, ldg.LdGParams(40.0), n_nodes=16.5),
+         "n_nodes must be an integer of at least 16"),
+        (lambda: pde.PolarGrid.annulus(0.3, 20.5, 32),
+         "nr must be an integer of at least 16"),
+        (lambda: pde.PolarGrid.sector(0.3, 2, 32, 8),
+         "nphi must be an integer of at least 16"),
+        (lambda: pde.anisotropic_state_energy(0.3, 2, "U2", 0.5, 0.002, nr=1),
+         "nr must be an integer of at least 16"),
+        (lambda: pde.anisotropic_state_energy(0.3, 2, "U2", 0.5, 0.002, nr=20.5),
+         "nr must be an integer of at least 16"),
+        (lambda: of_strong.spiral_solve(0.95, 0.2, n_profile=5.5),
+         "n_profile must be an integer of at least 3"),
+        (lambda: pde.stability_probe(
+            pde.defect_free_field(pde.PolarGrid.annulus(0.5, 16, 16)),
+            0.5, 0.5, 1, n_nodes=2),
+         "n_nodes must be an integer of at least 16"),
+        (lambda: harmonic.crossover_N(0.5, 10.5),
+         "N_max must be an integer of at least 2"),
+    ], ids=["solve_bvp", "min_eig_Ln", "annulus_nr", "sector_nphi",
+            "sector_energy_nr_one", "sector_energy_half_nr", "spiral",
+            "stability_probe", "crossover_N"])
+    def test_node_count_rejected(self, call, message):
+        # each used to raise TypeError, ZeroDivisionError or a message
+        # that names no parameter
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize("eps, b", [(0.0, 0.5), (0.125, 0.5),
                                         (math.nan, 0.5), (0.01, math.nan)])

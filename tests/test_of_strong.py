@@ -175,6 +175,19 @@ class TestSecondVariation:
             v = sum(c * np.sin((j + 1) * math.pi * s) for j, c in enumerate(coef))
             assert second_variation_radial(GridFunction(r, v), d, b) > 0.0
 
+    @pytest.mark.parametrize("delta, b, message", [
+        (math.nan, 0.4, r"anisotropy must lie in \[0,1\], got nan"),
+        (7.0, 0.4, r"anisotropy must lie in \[0,1\], got 7.0"),
+        (-0.5, 0.4, r"anisotropy must lie in \[0,1\], got -0.5"),
+        (0.5, math.nan, "radius ratio b must lie in"),
+        (0.5, 1.0, "radius ratio b must lie in"),
+    ], ids=["nan_delta", "delta_seven", "negative_delta", "nan_b", "b_one"])
+    def test_out_of_domain_rejected(self, delta, b, message):
+        # delta = nan returned nan and delta = 7 returned -293.6
+        eta = radial_eigenprofile(0.4)
+        with pytest.raises(ValueError, match=message):
+            second_variation_radial(eta, delta, b)
+
 
 class TestPitchfork:
     def test_amplitude_values(self):
@@ -473,3 +486,9 @@ class TestStabilityCoefficient:
             delta1_stability_coefficient(0.5, 0.0)
         with pytest.raises(DomainError):
             delta1_stability_coefficient(0.5, math.log(2.0))
+
+    @pytest.mark.parametrize("b", [math.nan, 0.0, 1.5])
+    def test_ratio_outside_unit_interval_rejected(self, b):
+        # b = nan returned nan
+        with pytest.raises(ValueError, match="radius ratio b must lie in"):
+            delta1_stability_coefficient(b, 0.3)
