@@ -70,23 +70,6 @@ def read_table(path: str):
     return comment, columns, data
 
 
-def load_field_csv(path: str) -> pde.DirectorField:
-    """Rebuild a director field from the r,phi,theta table."""
-    comment, columns, data = read_table(path)
-    if columns != ["r", "phi", "theta"]:
-        raise ConfigError(f"not a director-field table: {columns}")
-    meta = dict(item.split("=") for item in comment.split() if "=" in item)
-    periodic = meta.get("periodic") == "1"
-    r = np.unique(data[:, 0])
-    phi = np.unique(data[:, 1])
-    theta = np.full((len(r), len(phi)), np.nan)
-    ri = np.searchsorted(r, data[:, 0])
-    pi = np.searchsorted(phi, data[:, 1])
-    theta[ri, pi] = data[:, 2]
-    grid = pde.PolarGrid(len(r), len(phi), r, phi, periodic)
-    return pde.DirectorField(grid, theta, pde.BoundaryConditions())
-
-
 def _load_config(ctx: click.Context, param, path: str | None) -> None:
     """Eager ``--config`` callback: the file's entries become the command's
     defaults, so flags override them and click converts and checks them
@@ -356,15 +339,23 @@ def pde_solve(b, delta, nr, nphi, sector_n, state, pin_eps, alpha, out,
 @click.option("--delta-max", type=FLOAT, required=True)
 @click.option("--steps", type=int, default=12, show_default=True)
 @click.option("--seed-amplitude", type=FLOAT, default=0.3, show_default=True)
-@click.option("--nr", type=int, default=257, show_default=True)
-@click.option("--nphi", type=int, default=32, show_default=True)
+@click.option("--nr", type=int, default=257, show_default=True,
+              help="Radial nodes of the radial-subspace solve.")
+@click.option("--nphi", type=int, default=32, show_default=True,
+              help="Ring nodes of the annulus grid that checks each radial "
+                   "solution's 2-D residual; hp = 2 pi/nphi also sets the "
+                   "guard allowance 0.1 (hx^2 + hp^2)(1 + |E|).")
 @click.option("--out", type=click.Path(), default="bifurcation.csv",
               show_default=True)
 @_format_opt
 @_config_opt
 def bifurcation(b, delta_min, delta_max, steps, seed_amplitude, nr, nphi, out,
                 fmt):
-    """Deformation amplitude of the seeded branch across the bifurcation."""
+    """Deformation amplitude of the seeded branch across the bifurcation.
+
+    Each row is solved on the rotation-invariant radial subspace and
+    checked on the nr x nphi annulus grid.
+    """
     if delta_max <= delta_min:
         raise ConfigError("need delta-min < delta-max")
     if steps < 1:

@@ -2,9 +2,10 @@
 
 The domain checks of the radius ratio, integer indices, the sector count
 and the core radius, bracketed root finding, Carlson's symmetric elliptic
-integrals R_F and R_J, one memoized Gauss-Legendre rule, a damped-Newton
-solver for scalar two-point boundary value problems, and the smallest
-generalized eigenvalue of a discretized symmetric banded quadratic form.
+integrals R_F and R_J, one memoized Gauss-Legendre rule, the one
+tridiagonal solve, a damped-Newton solver for scalar two-point boundary
+value problems, and the smallest generalized eigenvalue of a discretized
+symmetric banded quadratic form.
 Everything here is pure apart from the memo of read-only quadrature rules,
 so it is safe to call concurrently on independent inputs.
 """
@@ -213,6 +214,18 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with A x = rhs for a tridiagonal A in LAPACK band storage:
+    ``ab[0, 1:]`` the superdiagonal, ``ab[1]`` the diagonal and
+    ``ab[2, :-1]`` the subdiagonal (LAPACK ``gtsv``, partial pivoting).
+
+    Raises ``ValueError`` (``LinAlgError``) where A is singular or an
+    entry is not finite.
+    """
+    import scipy.linalg
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
 def solve_bvp(ode_rhs: Callable,
               boundary_left: float, boundary_right: float,
               interval: tuple[float, float], n_nodes: int,
@@ -236,7 +249,6 @@ def solve_bvp(ode_rhs: Callable,
         ``SolveReport``.
     """
     n_nodes = check_index(n_nodes, "n_nodes", 16)
-    import scipy.linalg
     x = np.linspace(*interval, n_nodes)
     h = x[1] - x[0]
     if init is None:
@@ -283,7 +295,7 @@ def solve_bvp(ode_rhs: Callable,
         times[0] += t1 - t0
         if not (math.isfinite(rnorm) and np.isfinite(ab).all()):
             raise diverged("non-finite residual or Jacobian")
-        step = scipy.linalg.solve_banded((1, 1), ab, -res)
+        step = solve_tridiagonal(ab, -res)
         factorizations += 1
         t2 = time.perf_counter()
         times[1] += t2 - t1

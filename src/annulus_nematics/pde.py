@@ -14,10 +14,12 @@ energy-decrease line search, one residual evaluation per iterate, and a
 relaxation fallback near singular Jacobians.  Weak anchoring enters
 through nonlinear Robin rows on the two circles (full annulus only);
 sector edges are always Dirichlet.  Corner defect cores may be pinned to
-reference data and excluded from energy quadrature.
+reference data and excluded from energy quadrature.  The bifurcation scan
+runs the same Newton loop on the rotation-invariant radial subspace.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ import numpy as np
 
 from .numerics import (NEWTON_TOL, NewtonDiverged, SolveReport,
                        check_core_radius, check_index, check_ratio,
-                       check_sector, min_eigenvalue)
+                       check_sector, min_eigenvalue, solve_tridiagonal)
 from .of_weak import AnchoringParams
 
 
@@ -345,10 +347,13 @@ def _dissection_order(nr: int, nphi: int) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Numbering, sparsity pattern and linear solver of one Newton system.
+    """One grid with its edge conditions as a Newton system: the residual,
+    the guard energy and its descent direction, the numbering, sparsity
+    pattern and linear solver.
 
-    All three depend only on the grid and the edge conditions, which fix
-    the active nodes, so they are set up once.  Sector unknowns are numbered in
+    The edge conditions fix the active nodes, so all of it is set up once;
+    the numbering and pattern on the first assembly, so that a solve whose
+    start already solves builds neither.  Sector unknowns are numbered in
     nested-dissection order and factored by SuperLU without column
     permutation.  The annulus with Dirichlet circles and at most
     ``BAND_MAX_NPHI`` nodes per ring is numbered ring by ring, each ring in
@@ -362,9 +367,8 @@ class _NewtonSystem:
     """
 
     def __init__(self, grid: PolarGrid, bc: BoundaryConditions):
-        nr, nphi = grid.nr, grid.nphi
         # Dirichlet edges (sector edges always) and pinned cores are fixed
-        active = np.ones((nr, nphi), dtype=bool)
+        active = np.ones((grid.nr, grid.nphi), dtype=bool)
         if bc.kind == "dirichlet":
             active[[0, -1], :] = False
         if not grid.periodic:
@@ -372,22 +376,67 @@ class _NewtonSystem:
         if bc.pin_mask is not None:
             active &= ~bc.pin_mask
         self.grid, self.bc, self.active = grid, bc, active
-        ncell = nr * nphi
-        banded = grid.periodic and bc.kind == "dirichlet" \
-            and nphi <= BAND_MAX_NPHI
-        if banded:
+        self.hx, self.hp = grid.hx, grid.hp
+        self.alpha = bc.anchoring.alpha if bc.kind == "robin" else None
+        self.banded = grid.periodic and bc.kind == "dirichlet" \
+            and grid.nphi <= BAND_MAX_NPHI
+        self.permc_spec = "MMD_AT_PLUS_A" if grid.periodic else "NATURAL"
+
+    def evaluate(self, th, delta: float):
+        """``_residual`` of an iterate, and its max norm over the unknowns."""
+        r = _residual(self.grid, th, delta, self.alpha)
+        res, _, robin = r
+        pieces = [np.abs(res[1:-1, :][self.active[1:-1, :]])]
+        for (rows, _), (res_b, _, _) in zip(_CIRCLES, robin):
+            pieces.append(np.abs(res_b[self.active[rows[0], :]]))
+        vals = np.concatenate([p.ravel() for p in pieces])
+        return r, (float(vals.max()) if vals.size else 0.0)
+
+    def energy(self, th, delta: float) -> float:
+        """Elastic energy, plus on a Robin annulus the Rapini-Papoular
+        energy (alpha/2) r sum cos^2(theta - phi) hp of the circles r = b
+        and r = 1: the Robin rows are the gradient of the sum."""
+        energy = _energy_arrays(self.grid, th, delta)
+        if self.alpha is not None:
+            tilt = np.cos(th - self.grid.mesh()[1]) ** 2
+            energy += 0.5 * self.alpha * self.hp \
+                * (self.grid.b * tilt[0].sum() + tilt[-1].sum())
+        return energy
+
+    def descent(self, r):
+        """Steepest descent of the guard energy at a residual.  Inside, the
+        residual is -dE/dtheta per cell area; the Robin rows are -dE/dtheta
+        (r = b) and +dE/dtheta (r = 1) per hp, on nodes of half a cell."""
+        out = r[0].copy()
+        for (rows, _), (res_b, _, _), sign in zip(_CIRCLES, r[2], (2.0, -2.0)):
+            out[rows[0]] = sign / self.hx * res_b
+        return out
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Flat grid index of each unknown, in solve order."""
+        nr, nphi = self.grid.nr, self.grid.nphi
+        active = self.active.ravel()
+        if self.banded:
             k = np.arange(nphi)
             fold = np.where(k % 2, nphi - 1 - k // 2, k // 2)
             cells = (np.arange(nr)[:, None] * nphi + fold).ravel()
-            order = cells[active.ravel()[cells]]
-        elif grid.periodic:
-            order = np.flatnonzero(active)
-            self.permc_spec = "MMD_AT_PLUS_A"
-        else:
-            nd = _dissection_order(nr, nphi)
-            order = nd[active.ravel()[nd]]
-            self.permc_spec = "NATURAL"
-        n = order.size
+            return cells[active[cells]]
+        if self.grid.periodic:
+            return np.flatnonzero(active)
+        nd = _dissection_order(nr, nphi)
+        return nd[active[nd]]
+
+    @property
+    def n(self) -> int:
+        return self.order.size
+
+    @functools.cached_property
+    def _pattern(self):
+        """CSR indices and indptr, the coefficient source of each entry,
+        and the unknowns on a circle with their Robin row numbers."""
+        nr, nphi = self.grid.nr, self.grid.nphi
+        order, n, ncell = self.order, self.n, nr * nphi
         # unknown number of each node; n marks a fixed node, and the
         # extra last entry makes the node index -1 a fixed node too
         unknown_of = np.full(ncell + 1, n)
@@ -398,40 +447,40 @@ class _NewtonSystem:
         src = np.arange(9) * ncell + order[:, None]
         # unknowns on a circle (Robin only) carry one-sided x differences
         # plus the azimuthal neighbours, 5 entries each
-        self.edge = np.flatnonzero((ii == 0) | (ii == nr - 1))
-        outer = ii[self.edge, None] > 0
-        self.edge_src = outer[:, 0] * nphi + jj[self.edge]
+        edge = np.flatnonzero((ii == 0) | (ii == nr - 1))
+        outer = ii[edge, None] > 0
+        edge_src = outer[:, 0] * nphi + jj[edge]
         x_step = np.where(outer, -1, 1) * np.array([0, 1, 2, 0, 0])
-        nbr[self.edge, :5] = ((ii[self.edge, None] + x_step) * nphi
-                              + (jj[self.edge, None] + [0, 0, 0, 1, -1]) % nphi)
-        nbr[self.edge, 5:] = -1
-        src[self.edge, :5] = (9 * ncell + (5 * outer + np.arange(5)) * nphi
-                              + jj[self.edge, None])
+        nbr[edge, :5] = ((ii[edge, None] + x_step) * nphi
+                         + (jj[edge, None] + [0, 0, 0, 1, -1]) % nphi)
+        nbr[edge, 5:] = -1
+        src[edge, :5] = (9 * ncell + (5 * outer + np.arange(5)) * nphi
+                         + jj[edge, None])
         cols = unknown_of[nbr]
         by_col = np.argsort(cols, axis=1)
         cols = np.take_along_axis(cols, by_col, axis=1)
         keep = cols < n
-        self.order = order
-        self.n = n
-        self.indices = cols[keep].astype(np.int32)
-        self.src = np.take_along_axis(src, by_col, axis=1)[keep]
-        self.indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))
-                                     ).astype(np.int32)
-        self.band = None
-        if banded:
-            rows = np.repeat(np.arange(n), np.diff(self.indptr))
-            cols = self.indices.astype(rows.dtype)
-            self.bw = int(np.max(np.abs(rows - cols), initial=0))
-            ldab = 3 * self.bw + 1
-            # A[i, j] goes to ab[2 bw + i - j, j] of LAPACK's column-major
-            # band storage ab, the transpose of the buffer
-            self.band = np.zeros((n, ldab))
-            self.band_pos = cols * ldab + 2 * self.bw + rows - cols
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).astype(np.int32)
+        return (cols[keep].astype(np.int32), indptr,
+                np.take_along_axis(src, by_col, axis=1)[keep], edge, edge_src)
+
+    @functools.cached_property
+    def band(self):
+        """None, or the band buffer, half-bandwidth and entry positions."""
+        if not self.banded:
+            return None
+        indices, indptr = self._pattern[:2]
+        rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        cols = indices.astype(rows.dtype)
+        bw = int(np.max(np.abs(rows - cols), initial=0))
+        ldab = 3 * bw + 1
+        # A[i, j] goes to ab[2 bw + i - j, j] of LAPACK's column-major
+        # band storage ab, the transpose of the buffer
+        return np.zeros((self.n, ldab)), bw, cols * ldab + 2 * bw + rows - cols
 
     def assemble(self, r, delta: float):
         """Residual vector and Jacobian in solve order from ``_residual`` r."""
-        grid = self.grid
-        hx, hp = grid.hx, grid.hp
+        hx, hp = self.hx, self.hp
         _, (t_x, t_p, s, c, beta, gamma), robin = r
         a_coef = 1.0 - 0.5 * delta
         d_xx = a_coef + 0.5 * delta * c
@@ -444,7 +493,8 @@ class _NewtonSystem:
                   d_xx / hx ** 2 + d_p1, d_xx / hx ** 2 - d_p1,
                   d_pp / hp ** 2 + d_q1, d_pp / hp ** 2 - d_q1,
                   d_xp, d_xp, -d_xp, -d_xp]
-        if self.edge.size:
+        indices, indptr, src, edge, _ = self._pattern
+        if edge.size:
             for (rows, xw), (res_b, bt_x, surf) in zip(_CIRCLES, robin):
                 bs, bc_ = s[rows[0]], c[rows[0]]
                 dg_dx = 0.5 * (2.0 - delta) + 0.5 * delta * bc_
@@ -454,8 +504,8 @@ class _NewtonSystem:
                            dg_dx * xw[1] / (2.0 * hx), dg_dx * xw[2] / (2.0 * hx),
                            dg_dp, -dg_dp]
         import scipy.sparse
-        data = np.concatenate([p.ravel() for p in planes])[self.src]
-        jac = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+        data = np.concatenate([p.ravel() for p in planes])[src]
+        jac = scipy.sparse.csr_matrix((data, indices, indptr),
                                       shape=(self.n, self.n))
         return self.rhs(r), jac
 
@@ -463,9 +513,10 @@ class _NewtonSystem:
         """Residual vector in solve order from ``_residual`` r."""
         res_grid, _, robin = r
         rhs = res_grid.ravel()[self.order]
-        if self.edge.size:
+        *_, edge, edge_src = self._pattern
+        if edge.size:
             res_edge = np.concatenate([res_b for res_b, _, _ in robin])
-            rhs[self.edge] = res_edge[self.edge_src]
+            rhs[edge] = res_edge[edge_src]
         return rhs
 
     def factor(self, jac):
@@ -488,20 +539,84 @@ class _NewtonSystem:
                 return lu.solve(x, trans="T")
         else:
             from scipy.linalg.lapack import dgbtrf, dgbtrs
-            self.band.fill(0.0)
-            np.put(self.band, self.band_pos, jac.data)
-            ab, piv, info = dgbtrf(self.band.T, self.bw, self.bw,
-                                   overwrite_ab=True)
+            band, bw, pos = self.band
+            band.fill(0.0)
+            np.put(band, pos, jac.data)
+            ab, piv, info = dgbtrf(band.T, bw, bw, overwrite_ab=True)
             if info != 0:
                 return None
 
             def solve(x):
-                return dgbtrs(ab, self.bw, self.bw, x, piv)[0]
+                return dgbtrs(ab, bw, bw, x, piv)[0]
 
         def finite_solve(x):
             y = solve(x)
             return y if np.all(np.isfinite(y)) else None
         return finite_solve
+
+
+class _RadialSystem:
+    """The Dirichlet annulus on its rotation-invariant fields, as a Newton
+    system on their radial profile u.
+
+    A field theta = phi + pi/2 + u(x) is one profile on the nr nodes,
+    copied into every column.  On it the 9-point residual reduces to the
+    3-point (1 - d/2 - (d/2) cos 2u) u_xx + (d/2) sin 2u (1 + u_x^2), whose
+    Jacobian is the tridiagonal k = 0 Fourier block of the 2-D one, and the
+    guard energy to 2 pi hx times a sum over the nr - 1 radial cells.  hx
+    and hp are the annulus grid's, so the guard allowance and the
+    relaxation step are those of the 2-D solve.
+    """
+
+    alpha = None
+
+    def __init__(self, grid: PolarGrid):
+        self.hx, self.hp = grid.hx, grid.hp
+        self.active = np.ones(grid.nr, dtype=bool)
+        self.active[[0, -1]] = False
+        self.order = np.arange(1, grid.nr - 1)
+
+    def evaluate(self, u, delta: float):
+        """Residual of a profile with the terms its Jacobian reuses, and
+        its max norm."""
+        u_x = (u[2:] - u[:-2]) / (2.0 * self.hx)
+        u_xx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / self.hx ** 2
+        s, c = np.sin(2.0 * u[1:-1]), np.cos(2.0 * u[1:-1])
+        d_xx = 1.0 - 0.5 * delta - 0.5 * delta * c
+        res = d_xx * u_xx + 0.5 * delta * s * (1.0 + u_x ** 2)
+        return (res, u_x, u_xx, s, c, d_xx), float(np.max(np.abs(res)))
+
+    def energy(self, u, delta: float) -> float:
+        u_x = np.diff(u) / self.hx
+        mid = 0.5 * (u[1:] + u[:-1])
+        splay = -np.sin(mid) - np.cos(mid) * u_x
+        bend = np.cos(mid) - np.sin(mid) * u_x
+        dens = 0.5 * (1.0 - delta) * splay ** 2 + 0.5 * bend ** 2
+        return TWO_PI * self.hx * float(np.sum(dens))
+
+    def descent(self, r):
+        return np.concatenate(([0.0], r[0], [0.0]))
+
+    def assemble(self, r, delta: float):
+        """Residual and the tridiagonal Jacobian in band storage."""
+        res, u_x, u_xx, s, c, d_xx = r
+        cross = delta * s * u_x / (2.0 * self.hx)
+        ab = np.zeros((3, res.size))
+        ab[0, 1:] = (d_xx / self.hx ** 2 + cross)[:-1]
+        ab[1] = -2.0 * d_xx / self.hx ** 2 + delta * (c * (1.0 + u_x ** 2) + s * u_xx)
+        ab[2, :-1] = (d_xx / self.hx ** 2 - cross)[1:]
+        return res, ab
+
+    def factor(self, ab):
+        """The solve with ab, which gives None where ab is singular or the
+        solution is not finite."""
+        def solve(x):
+            try:
+                y = solve_tridiagonal(ab, x)
+            except ValueError:
+                return None
+            return y if np.all(np.isfinite(y)) else None
+        return solve
 
 
 def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
@@ -518,84 +633,55 @@ def solve_el(grid: PolarGrid, delta: float, bc: BoundaryConditions,
     _check_anisotropy(delta)
     if bc.kind == "robin" and not grid.periodic:
         raise ValueError("weak anchoring is only offered on the full annulus")
-    t0 = time.perf_counter()
-    system = _NewtonSystem(grid, bc)
-    return _newton(system, delta, init, max_iter, time.perf_counter() - t0)
+    theta, report = _newton(_NewtonSystem(grid, bc), delta, init.theta,
+                            max_iter=max_iter)
+    return DirectorField(grid, theta, bc), report
 
 
-def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
-            max_iter: int = 40, build_s: float = 0.0, chord: bool = False):
-    """``solve_el`` on a prebuilt system; ``build_s`` counts as assembly.
+def _newton(system, delta: float, start: np.ndarray, max_iter: int = 40,
+            chord: bool = False) -> tuple[np.ndarray, SolveReport]:
+    """``solve_el`` on a system: a ``_NewtonSystem`` and a field theta, or
+    a ``_RadialSystem`` and a profile u, from the values ``start``.
 
-    With ``chord``, a full Newton step that cut the residual at least 10x
-    keeps its factor, and the next iteration first tries one undamped
-    step on it (a chord step; Kelley, *Iterative Methods for Linear and
-    Nonlinear Equations*, 1995, 5.4).  The chord step is taken if it
-    passes the energy guard and cuts the residual 10x too, and then keeps
-    the factor for the next; otherwise the factor is dropped and the
-    iteration factors afresh.
+    The system evaluates the residual and its max norm over the unknowns, the
+    guard energy and its descent direction, the Jacobian and its factor;
+    this loop owns the line search, its allowance, the chord steps, the
+    relaxation fallback and the ``SolveReport``.  With ``chord`` (on a
+    ``_NewtonSystem``, whose ``rhs`` a kept factor solves), a full
+    Newton step that cut the residual at least 10x keeps its factor, and
+    the next iteration first tries one undamped step on it (a chord step;
+    Kelley, *Iterative Methods for Linear and Nonlinear Equations*, 1995,
+    5.4).  The chord step is taken if it passes the energy guard and cuts
+    the residual 10x too, and then keeps the factor for the next;
+    otherwise the factor is dropped and the iteration factors afresh.
     """
-    import scipy.sparse.linalg   # factor's solvers, before the timers
-    grid, bc, active = system.grid, system.bc, system.active
-    theta = init.theta.copy()
+    theta = np.array(start, dtype=float)
+    active = system.active
     # assemble, linear solve, line search
-    times = [build_s, 0.0, 0.0]
-
-    alpha = bc.anchoring.alpha if bc.kind == "robin" else None
+    times = [0.0, 0.0, 0.0]
     # at delta = 0 with Dirichlet edges the equation is the 5-point
     # Laplacian: the full step lands on its one solution, which the
     # quadrature energy of the guard may rank above the start
-    linear = delta == 0.0 and alpha is None
-
-    def evaluate(th):
-        """Residual of an iterate, and its max norm over the unknowns."""
-        r = _residual(grid, th, delta, alpha)
-        res, _, robin = r
-        pieces = [np.abs(res[1:-1, :][active[1:-1, :]])]
-        for (rows, _), (res_b, _, _) in zip(_CIRCLES, robin):
-            pieces.append(np.abs(res_b[active[rows[0], :]]))
-        vals = np.concatenate([p.ravel() for p in pieces])
-        return r, (float(vals.max()) if vals.size else 0.0)
-
-    _, pp = grid.mesh()
-
-    def guard_energy(th):
-        """Elastic energy, plus on a Robin annulus the Rapini-Papoular
-        energy (alpha/2) r sum cos^2(theta - phi) hp of the circles r = b
-        and r = 1: the Robin rows are the gradient of the sum."""
-        energy = _energy_arrays(grid, th, delta)
-        if alpha is not None:
-            tilt = np.cos(th - pp) ** 2
-            energy += 0.5 * alpha * grid.hp * (grid.b * tilt[0].sum() + tilt[-1].sum())
-        return energy
-
-    def descent(r):
-        """Steepest descent of the guard energy at a residual.  Inside, the
-        residual is -dE/dtheta per cell area; the Robin rows are -dE/dtheta
-        (r = b) and +dE/dtheta (r = 1) per hp, on nodes of half a cell."""
-        out = r[0].copy()
-        for (rows, _), (res_b, _, _), sign in zip(_CIRCLES, r[2], (2.0, -2.0)):
-            out[rows[0]] = sign / grid.hx * res_b
-        return out
+    linear = delta == 0.0 and system.alpha is None
 
     def try_step(th, step, lam):
         """The iterate th + lam * step, its energy, residual and norm."""
         trial = th.copy()
         trial.ravel()[system.order] += lam * step
-        return (trial, guard_energy(trial), *evaluate(trial))
+        return (trial, system.energy(trial, delta), *system.evaluate(trial, delta))
 
-    energy = guard_energy(theta)
+    energy = system.energy(theta, delta)
     history = [energy]
     # the quadrature energy and the collocation residual are consistent
     # only to second order, so the monotonicity guard carries an
     # h^2-proportional allowance; large climbs (toward an energy saddle)
     # are still rejected
-    slack = 0.1 * (grid.hx ** 2 + grid.hp ** 2) * (1.0 + abs(energy))
+    slack = 0.1 * (system.hx ** 2 + system.hp ** 2) * (1.0 + abs(energy))
     damping_events = 0
     factorizations = 0
     n_iter = 0
     kept = None     # the factor a chord step may reuse
-    r, rnorm = evaluate(theta)
+    r, rnorm = system.evaluate(theta, delta)
     while rnorm > NEWTON_TOL and n_iter < max_iter:
         ceiling = energy + slack
         accepted = False
@@ -643,15 +729,15 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
         if not accepted:
             # relaxation fallback: damped explicit sweeps along the
             # steepest residual direction, still energy-monotone
-            tau = 0.2 * min(grid.hx, grid.hp) ** 2 / (1.0 + delta)
+            tau = 0.2 * min(system.hx, system.hp) ** 2 / (1.0 + delta)
             improved = False
             for _ in range(60):
                 trial = theta.copy()
-                trial[active] += tau * descent(r)[active]
-                e_try = guard_energy(trial)
+                trial[active] += tau * system.descent(r)[active]
+                e_try = system.energy(trial, delta)
                 if e_try <= energy + 1e-14:
                     theta, energy = trial, e_try
-                    r, rnorm = evaluate(theta)
+                    r, rnorm = system.evaluate(theta, delta)
                     history.append(energy)
                     improved = True
                 else:
@@ -671,7 +757,7 @@ def _newton(system: _NewtonSystem, delta: float, init: DirectorField,
     if not converged:
         raise NewtonDiverged(f"no convergence after {n_iter} iterations "
                              f"(residual {rnorm:.3e})", [report])
-    return DirectorField(grid, theta, bc), report
+    return theta, report
 
 
 def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
@@ -681,27 +767,43 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
     For each anisotropy the solver starts from theta* plus the seeded
     radial mode; below the critical anisotropy the perturbation decays
     back (amplitude ~ 0), above it the branch settles on the spiral state
-    whose amplitude grows like sqrt(delta - delta_1).  A seed inside the
-    unstable well would steer Newton toward the defect-free saddle, so a
-    solve that ends above the energy of its seeded start is rejected; the
-    scan then retries with the deviation amplified until the solve lands
-    on the stable branch.
+    whose amplitude grows like sqrt(delta - delta_1).
+
+    The seed is rotation-invariant and the equation commutes with
+    rotations (the equivariant reduction of Golubitsky, Stewart and
+    Schaeffer, *Singularities and Groups in Bifurcation Theory* II, 1988),
+    so the scan solves on the radial subspace theta = phi + pi/2 + u(x),
+    for u on the nr nodes (``_RadialSystem``).  It lifts each solution
+    onto the nr x nphi annulus grid and keeps it only if the lifted field
+    passes the 2-D residual check at ``NEWTON_TOL``.  So nphi has two
+    roles: that check, and hp = 2 pi/nphi in the guard allowance
+    0.1 (hx^2 + hp^2)(1 + |E|), in which hp^2 dominates at the default
+    257 x 32 (0.039 against hx^2 = 4.0e-5 at b = 0.2).
+
+    A seed inside the unstable well would steer Newton toward the
+    defect-free saddle, so a solve that ends above the energy of its
+    seeded start is rejected.  After a rejected, failed or unverified
+    solve the scan retries with the deviation amplified: x2 up to x16,
+    then doubled on while the seeded deviation stays below 1 rad.  A row
+    that no rung lands raises the last rung's ``NewtonDiverged``.
     """
     for d in delta_values:
         _check_anisotropy(d)
     grid = PolarGrid.annulus(b, nr, nphi)
-    system = _NewtonSystem(grid, BoundaryConditions())
+    system = _RadialSystem(grid)
+    lifted = _NewtonSystem(grid, BoundaryConditions())
     xx, pp = grid.mesh()
-    mode = np.sin(math.pi * xx / math.log(b))
+    mode = np.sin(math.pi * xx[:, 0] / math.log(b))
+    boosts = [1.0, 2.0, 4.0, 8.0, 16.0]
+    while 0.0 < abs(2.0 * boosts[-1] * seed_amplitude) < 1.0:
+        boosts.append(2.0 * boosts[-1])
     out = []
     for d in delta_values:
         amp = None
         err = None
-        for boost in (1.0, 2.0, 4.0, 8.0, 16.0):
-            theta0 = pp + 0.5 * math.pi + boost * seed_amplitude * mode
-            init = DirectorField(grid, theta0, system.bc)
+        for boost in boosts:
             try:
-                fld, rep = _newton(system, float(d), init)
+                u, rep = _newton(system, float(d), boost * seed_amplitude * mode)
             except NewtonDiverged as exc:
                 err = exc
                 continue
@@ -713,7 +815,12 @@ def bifurcation_scan(b: float, delta_values, seed_amplitude: float,
                                      f"energy {rep.energy_history[0]:.6g} to "
                                      f"{rep.energy_history[-1]:.6g}", [rep])
                 continue
-            amp = float(np.max(np.abs(fld.theta - (pp + 0.5 * math.pi))))
+            _, check = lifted.evaluate(pp + 0.5 * math.pi + u[:, None], float(d))
+            if check > NEWTON_TOL:
+                err = NewtonDiverged(f"solve at delta={d:.6g} lifts to a 2-D "
+                                     f"residual of {check:.3e}", [rep])
+                continue
+            amp = float(np.max(np.abs(u)))
             break
         if amp is None:
             raise err
@@ -804,16 +911,15 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
     # pin only the inner half of the measurement disk: the ring in between
     # lets the solution relax away from the reference core data
     pin = corner_pin_mask(grid, 0.5 * eps1)
-    bc = BoundaryConditions(pin_mask=pin[:, :m])
-    current = DirectorField(solved, harm[:, :m], bc)
-    system = _NewtonSystem(solved, bc)
+    system = _NewtonSystem(solved, BoundaryConditions(pin_mask=pin[:, :m]))
+    theta = harm[:, :m]
     # fractions of delta, reached and next tried: sums of powers of two
     done, step, reports = 0.0, 1.0, []
     while done < 1.0:
         target = done + step
         try:
-            current, rep = _newton(system, target * delta, current,
-                                   max_iter=CONTINUATION_ITER, chord=True)
+            theta, rep = _newton(system, target * delta, theta,
+                                 max_iter=CONTINUATION_ITER, chord=True)
         except NewtonDiverged as exc:
             reports += exc.history
             step *= 0.5
@@ -824,7 +930,6 @@ def anisotropic_state_energy(b: float, N: int, kind: str, delta: float,
             continue
         reports.append(rep)
         done, step = target, min(2.0 * step, 1.0 - target)
-    theta = current.theta
     if m < nphi:
         # mirror the correction, which is zero on the edges and the cores
         theta = np.hstack([theta,

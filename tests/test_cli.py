@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import annulus_nematics
-from annulus_nematics import ldg
-from annulus_nematics.cli import fmt17, load_field_csv, main, read_table
+from annulus_nematics import ldg, pde
+from annulus_nematics.cli import fmt17, main, read_table
 from annulus_nematics.of_strong import delta_n, spiral_solve
 
 DATA = Path(__file__).parent / "data"
@@ -28,6 +28,19 @@ SRC = Path(annulus_nematics.__file__).resolve().parents[1]
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def load_field_csv(path: str) -> pde.DirectorField:
+    """Rebuild a director field from the r,phi,theta table of pde-solve."""
+    comment, columns, data = read_table(path)
+    assert columns == ["r", "phi", "theta"]
+    meta = dict(item.split("=") for item in comment.split() if "=" in item)
+    r = np.unique(data[:, 0])
+    phi = np.unique(data[:, 1])
+    theta = np.full((len(r), len(phi)), np.nan)
+    theta[np.searchsorted(r, data[:, 0]), np.searchsorted(phi, data[:, 1])] = data[:, 2]
+    grid = pde.PolarGrid(len(r), len(phi), r, phi, meta.get("periodic") == "1")
+    return pde.DirectorField(grid, theta, pde.BoundaryConditions())
 
 
 def assert_config_error(res, message):

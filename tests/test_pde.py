@@ -296,7 +296,7 @@ class TestBifurcation:
         boosts = []
 
         def stub(system, delta, init, **kw):
-            boosts.append(init.theta)
+            boosts.append(init)
             return init, SolveReport(1, 0.0, 0, True, [1.0, 1.5])
 
         monkeypatch.setattr(pde, "_newton", stub)
@@ -320,6 +320,108 @@ class TestBifurcation:
         amps = np.array([a for _, a in pts])
         slope = np.polyfit(np.log(offsets), np.log(amps), 1)[0]
         assert abs(slope - 0.5) < 0.05
+
+
+def reference_scan(b, deltas, seed, nr=257, nphi=32):
+    """Reference: the scan by 2-D Newton on the nr x nphi annulus, from
+    theta* plus the seeded mode, with the rungs x1 ... x16 and the climb
+    rejection.  Returns (delta, amplitude, boost, iterations) per row."""
+    grid = PolarGrid.annulus(b, nr, nphi)
+    system = _NewtonSystem(grid, BoundaryConditions())
+    xx, pp = grid.mesh()
+    mode = np.sin(math.pi * xx / math.log(b))
+    rows = []
+    for d in deltas:
+        for boost in (1.0, 2.0, 4.0, 8.0, 16.0):
+            try:
+                theta, rep = pde._newton(system, float(d),
+                                         pp + 0.5 * math.pi + boost * seed * mode)
+            except NewtonDiverged:
+                continue
+            if rep.energy_history[-1] <= rep.energy_history[0]:
+                amp = float(np.max(np.abs(theta - (pp + 0.5 * math.pi))))
+                rows.append((float(d), amp, boost, rep.iterations))
+                break
+        else:
+            raise AssertionError(f"no rung lands at delta={d}")
+    return rows
+
+
+def onset_deltas(b):
+    d1 = delta_n(b, 1)
+    return np.linspace(d1 - 0.03, d1 + 0.03, 12)
+
+
+# (b, deltas): the 12-row scans about delta1, and the 20 rows far above it
+# whose first solves climb to other critical points
+REFERENCE_SCANS = [(b, onset_deltas(b)) for b in (0.2, 0.3, 0.45)] \
+    + [(0.2, np.linspace(0.5, 0.99, 20))]
+
+
+@pytest.fixture(scope="module", params=REFERENCE_SCANS,
+                ids=["onset-0.2", "onset-0.3", "onset-0.45", "far-0.2"])
+def reference_rows(request):
+    b, deltas = request.param
+    return b, deltas, reference_scan(b, deltas, 0.3)
+
+
+class TestRadialScan:
+    def test_rows_match_2d_scan(self, reference_rows, monkeypatch):
+        b, deltas, ref = reference_rows
+        attempts = spy_on_newton(monkeypatch)
+        pts = bifurcation_scan(b, deltas, 0.3)
+        assert len(pts) == len(ref)
+        for (d, amp), (d_ref, amp_ref, boost, iterations) in zip(pts, ref):
+            assert d == d_ref and abs(amp - amp_ref) <= 1e-12
+            # one attempt per rung, so the landing rung is the last
+            tried = [rep for delta, rep in attempts if delta == d]
+            assert 2.0 ** (len(tried) - 1) == boost
+            assert tried[-1].iterations == iterations
+
+    @pytest.mark.parametrize("b", [0.2, 0.3, 0.45])
+    @pytest.mark.parametrize("seed", [0.001, 0.003])
+    def test_small_seeds_land(self, b, seed):
+        # just above delta1 every rung x1 ... x16 of these seeds stays in
+        # the saddle's basin; the rungs beyond reach the seed-0.3 branch
+        deltas = onset_deltas(b)
+        ref = [amp for _, amp in bifurcation_scan(b, deltas, 0.3)]
+        amps = [amp for _, amp in bifurcation_scan(b, deltas, seed)]
+        assert np.max(np.abs(np.subtract(amps, ref))) <= 1e-6
+
+    @pytest.mark.parametrize("seed, rungs", [(0.05, 5), (0.03, 6), (0.001, 10),
+                                             (-0.001, 10), (0.0, 5)])
+    def test_ladder_doubles_below_one_radian(self, monkeypatch, seed, rungs):
+        # every solve climbs, so the row runs through the whole ladder
+        starts = []
+
+        def stub(system, delta, init, **kw):
+            starts.append(float(np.max(np.abs(init))))
+            return init, SolveReport(1, 0.0, 0, True, [1.0, 1.5])
+
+        monkeypatch.setattr(pde, "_newton", stub)
+        with pytest.raises(NewtonDiverged, match="climbed"):
+            bifurcation_scan(0.2, [0.9], seed, nr=33)
+        assert len(starts) == rungs
+        if rungs > 5:
+            assert starts[-1] < 1.0 <= 2.0 * starts[-1]
+
+    def test_unverified_lift_takes_the_next_rung(self, monkeypatch):
+        # the first lifted check reads a 2-D residual above NEWTON_TOL
+        d = delta_n(0.2, 1) + 0.01
+        (_, amp), = bifurcation_scan(0.2, [d], 0.3, nr=129)
+        attempts = spy_on_newton(monkeypatch)
+        real, checks = pde._residual, []
+
+        def inflated(grid, theta, delta, alpha=None):
+            res, terms, robin = real(grid, theta, delta, alpha)
+            checks.append(delta)
+            return res + (1e-6 if len(checks) == 1 else 0.0), terms, robin
+
+        monkeypatch.setattr(pde, "_residual", inflated)
+        (_, amp2), = bifurcation_scan(0.2, [d], 0.3, nr=129)
+        assert checks == [d, d]
+        assert len(attempts) == 2 and all(rep.converged for _, rep in attempts)
+        assert amp2 == pytest.approx(amp, abs=1e-6)
 
 
 def dense_stability_probe(delta, b, k, alpha=None, n_nodes=801):
@@ -466,18 +568,18 @@ def full_sector_state(b, N, kind, delta, nr):
     for every kind.  Returns the converged field and eps1."""
     fld, eps1 = reference_start(b, N, kind, nr)
     system = _NewtonSystem(fld.grid, fld.bc)
-    done, step = 0.0, 1.0
+    theta, done, step = fld.theta, 0.0, 1.0
     while done < 1.0:
         target = done + step
         try:
-            fld, _ = pde._newton(system, target * delta, fld,
-                                 max_iter=pde.CONTINUATION_ITER, chord=True)
+            theta, _ = pde._newton(system, target * delta, theta,
+                                   max_iter=pde.CONTINUATION_ITER, chord=True)
         except NewtonDiverged:
             step *= 0.5
             assert step >= pde.CONTINUATION_MIN_STEP
             continue
         done, step = target, min(2.0 * step, 1.0 - target)
-    return fld, eps1
+    return DirectorField(fld.grid, theta, fld.bc), eps1
 
 
 STRONG = dict(b=0.3, N=2, delta=0.9, eps=0.002, nr=97)
@@ -1166,8 +1268,7 @@ class TestLinearSolvePaths:
         theta = sector_state_field(grid, state_coefficients("U2", 4)).theta
         system = _NewtonSystem(grid, bc)
         with pytest.raises(NewtonDiverged) as info:
-            pde._newton(system, 0.6, DirectorField(grid, theta, bc),
-                        max_iter=2, chord=True)
+            pde._newton(system, 0.6, theta, max_iter=2, chord=True)
         rep = info.value.history[0]
         assert rep.iterations == 2 and rep.factorizations == 2
         assert not rep.converged and rep.line_search_s == 0.0
