@@ -195,10 +195,12 @@ def carlson_rf_rj(x, y, z):
     rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a_f)
     X, Y, Z = scale * jx / a_j, scale * jy / a_j, scale * jz / a_j
     P = -0.5 * (X + Y + Z)
-    xyz = X * Y * Z
+    # cubed by products: array ** is many times slower for a negative base,
+    # and differs from scalar ** in the last bit in some lanes
+    xyz, p3 = X * Y * Z, P * P * P
     e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
-    e3 = xyz + 2.0 * e2 * P + 4.0 * P ** 3
-    e4 = (2.0 * xyz + e2 * P + 3.0 * P ** 3) * P
+    e3 = xyz + 2.0 * e2 * P + 4.0 * p3
+    e4 = (2.0 * xyz + e2 * P + 3.0 * p3) * P
     e5 = xyz * P * P
     series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
               - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)

@@ -8,6 +8,8 @@ of a transcendental compatibility condition in delta.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -63,6 +65,44 @@ def _square(alpha: float) -> float:
         return math.inf
 
 
+def _tan_argument(m, delta, length):
+    """sqrt(delta/(1-delta)) * log(1/b), the k = 0 tangent's argument."""
+    return m.sqrt(delta / (1.0 - delta)) * length
+
+
+def _tan_pole_distance(m, tau):
+    """|remainder(tau - pi/2, pi)|, exactly and elementwise: fmod is exact,
+    and so is pi - r for r >= pi/2 (Sterbenz's lemma)."""
+    r = abs(m.fmod(tau - 0.5 * math.pi, math.pi))
+    return np.minimum(r, math.pi - r)
+
+
+def _residual(m, alpha: float, b: float, k: int):
+    """The compatibility residual as an unchecked function of delta, through
+    ``m`` = math on floats or numpy on arrays: one formula, whose
+    arithmetic and square roots round alike in both.  At a rational-term
+    pole floats raise ZeroDivisionError and arrays give inf or nan.  Where
+    alpha ** 2 overflows the rational term, of order 1/alpha, is dropped,
+    since alpha * (1 + b) may overflow too."""
+    length, alpha_sq = math.log(1.0 / b), _square(alpha)
+
+    def residual(delta):
+        if k == 0:
+            head = m.tan(_tan_argument(m, delta, length))
+            if alpha_sq == math.inf:
+                return head
+            return head + alpha * (1.0 + b) * m.sqrt(delta * (1.0 - delta)) \
+                / (alpha * delta - alpha * b * delta + alpha_sq * b - delta)
+        nu = m.sqrt((k * k - delta) / (1.0 - delta))
+        head = m.tanh(nu * length)
+        if alpha_sq == math.inf:
+            return head
+        den = delta * alpha + alpha_sq * b - alpha * b * delta - delta \
+            + k * k * (1.0 - delta)
+        return head + (1.0 - delta) * alpha * (1.0 + b) / den * nu
+    return residual
+
+
 def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     """Residual of the Robin compatibility condition at order k.
 
@@ -75,76 +115,71 @@ def compat_residual(delta: float, alpha: float, b: float, k: int) -> float:
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     check_ratio(b)
-    check_index(k, "k", 0)
-    length = math.log(1.0 / b)
-    alpha_sq = _square(alpha)
+    k = check_index(k, "k", 0)
+    delta, alpha, b = float(delta), float(alpha), float(b)
     if k == 0:
-        tau = math.sqrt(delta / (1.0 - delta)) * length
-        if abs(math.remainder(tau - 0.5 * math.pi, math.pi)) < 1e-9:
+        tau = _tan_argument(math, delta, math.log(1.0 / b))
+        if _tan_pole_distance(math, tau) < 1e-9:
             raise PoleProximity(f"tangent argument {tau} within 1e-9 of a pole")
-        den = alpha * delta - alpha * b * delta + alpha_sq * b - delta
-        if den == 0.0:
-            raise PoleProximity("rational term pole")
-        if den == math.inf:
-            # alpha ** 2 overflowed: the rational term is of order 1/alpha,
-            # and alpha * (1 + b) in it may overflow too
-            return math.tan(tau)
-        return math.tan(tau) + alpha * (1.0 + b) * math.sqrt(delta * (1.0 - delta)) / den
-    nu = math.sqrt((k * k - delta) / (1.0 - delta))
-    den = delta * alpha + alpha_sq * b - alpha * b * delta - delta \
-        + k * k * (1.0 - delta)
-    if den == 0.0:
-        raise PoleProximity("rational term pole")
-    if den == math.inf:
-        return math.tanh(nu * length)
-    return math.tanh(nu * length) + (1.0 - delta) * alpha * (1.0 + b) / den * nu
+    try:
+        return _residual(math, alpha, b, k)(delta)
+    except ZeroDivisionError:
+        raise PoleProximity("rational term pole") from None
 
 
 def _k0_pole_partition(alpha: float, b: float):
-    """Cell edges in delta: tangent poles plus the rational-term pole."""
+    """Cell edges in delta, increasing and generated on demand: 0, the
+    tangent poles below 1 - 1e-12 (at most 201) merged with the
+    rational-term pole, and 1."""
     length = math.log(1.0 / b)
-    edges = [0.0, 1.0]
-    m = 0
-    while True:
-        x = ((0.5 + m) * math.pi / length) ** 2
-        d = x / (1.0 + x)
-        if d >= 1.0 - 1e-12:
-            break
-        edges.append(d)
-        m += 1
-        if m > 200:
-            break
+
+    def tangent_poles():
+        for m in range(201):
+            x = ((0.5 + m) * math.pi / length) ** 2
+            d = x / (1.0 + x)
+            if d >= 1.0 - 1e-12:
+                return
+            yield d
+
     coef = 1.0 + alpha * b - alpha
-    if coef != 0.0:
-        d_rat = _square(alpha) * b / coef
-        if 0.0 < d_rat < 1.0:
-            edges.append(d_rat)
-    return sorted(set(edges))
+    d_rat = _square(alpha) * b / coef if coef != 0.0 else math.nan
+    rational = [d_rat] if 0.0 < d_rat < 1.0 else []
+    merged = heapq.merge([0.0], tangent_poles(), rational, [1.0])
+    return (d for d, _ in itertools.groupby(merged))
 
 
-def _smallest_root_in_cells(f, edges) -> Optional[float]:
-    """Scan each cell left to right and root-solve the first sign change."""
-    for lo, hi in zip(edges[:-1], edges[1:]):
+def _smallest_root_in_cells(alpha: float, b: float, k: int,
+                            edges) -> Optional[float]:
+    """Sample each cell, left to right, and root-solve the first sign change.
+
+    160 samples per cell are evaluated at once.  A sample within 1e-9 of a
+    tangent pole, or with a residual that is not finite, breaks the chain
+    of samples; within a chain the first zero is returned, and the first
+    pair whose signs differ (0.0 counts as positive) is refined by the
+    scalar kernel.
+    """
+    f, f_array = _residual(math, alpha, b, k), _residual(np, alpha, b, k)
+    length = math.log(1.0 / b)
+    for lo, hi in itertools.pairwise(edges):
         pad = 1e-10 * max(1.0, hi - lo) + 1e-13
         a, c = lo + pad, hi - pad
         if c <= a:
             continue
         xs = np.linspace(a, c, 160)
-        prev_x, prev_f = None, None
-        for x in xs:
-            try:
-                fx = f(float(x))
-            except PoleProximity:
-                prev_x, prev_f = None, None
-                continue
-            if not math.isfinite(fx):
-                prev_x, prev_f = None, None
-                continue
-            if prev_f is not None and fx == 0.0:
-                return float(x)
-            if prev_f is not None and math.copysign(1.0, fx) != math.copysign(1.0, prev_f):
-                return find_root(f, Bracket(prev_x, x), tol=1e-14)
-            prev_x, prev_f = float(x), fx
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fx = f_array(xs)
+        valid = np.isfinite(fx)
+        if k == 0:
+            valid &= _tan_pole_distance(np, _tan_argument(np, xs, length)) >= 1e-9
+        sign = np.signbit(fx)
+        hits = np.flatnonzero(valid[:-1] & valid[1:]
+                              & ((fx[1:] == 0.0) | (sign[1:] != sign[:-1])))
+        if hits.size:
+            i = hits[0] + 1
+            if fx[i] == 0.0:
+                return float(xs[i])
+            return find_root(f, Bracket(float(xs[i - 1]), float(xs[i])),
+                             tol=1e-14)
     return None
 
 
@@ -160,11 +195,11 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     check_ratio(b)
-    check_index(k, "k", 0)
+    k = check_index(k, "k", 0)
     if k == 0:
-        edges = _k0_pole_partition(alpha, b)
-        return _smallest_root_in_cells(
-            lambda d: compat_residual(d, alpha, b, 0), edges)
+        if math.log(1.0 / b) == math.inf:
+            raise ValueError(f"log(1/b) overflows at b = {b}")
+        return _smallest_root_in_cells(alpha, b, 0, _k0_pole_partition(alpha, b))
     if k == 1:
         alpha_sq = _square(alpha)
         num = alpha * b ** 2 + alpha_sq * b + alpha + 1.0 - b ** 2 * alpha_sq - b
@@ -177,9 +212,7 @@ def delta_weak(alpha: float, b: float, k: int) -> Optional[float]:
     d_zero = -(_square(alpha) * b + k * k) / coef if coef != 0.0 else math.inf
     if not 0.0 < d_zero < 1.0:
         return None
-    edges = [d_zero, 1.0]
-    return _smallest_root_in_cells(
-        lambda d: compat_residual(d, alpha, b, k), edges)
+    return _smallest_root_in_cells(alpha, b, k, [d_zero, 1.0])
 
 
 def weak_eigenmode(r, delta: float, alpha: float, b: float):

@@ -311,9 +311,6 @@ _STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
 
 # largest box side that nested dissection numbers row by row
 DISSECTION_LEAF = 4
-# most nodes per ring for which the Dirichlet annulus is factored as a
-# band; on wider rings the band outgrows SuperLU's fill
-BAND_MAX_NPHI = 64
 
 
 def _dissection_order(nr: int, nphi: int) -> np.ndarray:
@@ -355,13 +352,8 @@ class _NewtonSystem:
     the numbering and pattern on the first assembly, so that a solve whose
     start already solves builds neither.  Sector unknowns are numbered in
     nested-dissection order and factored by SuperLU without column
-    permutation.  The annulus with Dirichlet circles and at most
-    ``BAND_MAX_NPHI`` nodes per ring is numbered ring by ring, each ring in
-    folded order (0, nphi-1, 1, nphi-2, ...) so that the seam neighbours
-    sit at most 2 apart, and factored by LAPACK ``gbtrf`` with half-bandwidth
-    nphi + 2.  Any other annulus (Robin circles, whose one-sided rows
-    couple three rings, or wider rings) keeps row-major numbering under
-    SuperLU with minimum degree on A^T + A.  ``src`` maps the flat
+    permutation; annulus unknowns keep row-major numbering under SuperLU
+    with minimum degree on A^T + A.  ``src`` maps the flat
     coefficient vector (9 stencil planes, then 5 Robin planes per circle)
     onto the CSR data, so a Newton step only gathers values.
     """
@@ -378,8 +370,6 @@ class _NewtonSystem:
         self.grid, self.bc, self.active = grid, bc, active
         self.hx, self.hp = grid.hx, grid.hp
         self.alpha = bc.anchoring.alpha if bc.kind == "robin" else None
-        self.banded = grid.periodic and bc.kind == "dirichlet" \
-            and grid.nphi <= BAND_MAX_NPHI
         self.permc_spec = "MMD_AT_PLUS_A" if grid.periodic else "NATURAL"
 
     def evaluate(self, th, delta: float):
@@ -417,11 +407,6 @@ class _NewtonSystem:
         """Flat grid index of each unknown, in solve order."""
         nr, nphi = self.grid.nr, self.grid.nphi
         active = self.active.ravel()
-        if self.banded:
-            k = np.arange(nphi)
-            fold = np.where(k % 2, nphi - 1 - k // 2, k // 2)
-            cells = (np.arange(nr)[:, None] * nphi + fold).ravel()
-            return cells[active[cells]]
         if self.grid.periodic:
             return np.flatnonzero(active)
         nd = _dissection_order(nr, nphi)
@@ -463,20 +448,6 @@ class _NewtonSystem:
         indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1)))).astype(np.int32)
         return (cols[keep].astype(np.int32), indptr,
                 np.take_along_axis(src, by_col, axis=1)[keep], edge, edge_src)
-
-    @functools.cached_property
-    def band(self):
-        """None, or the band buffer, half-bandwidth and entry positions."""
-        if not self.banded:
-            return None
-        indices, indptr = self._pattern[:2]
-        rows = np.repeat(np.arange(self.n), np.diff(indptr))
-        cols = indices.astype(rows.dtype)
-        bw = int(np.max(np.abs(rows - cols), initial=0))
-        ldab = 3 * bw + 1
-        # A[i, j] goes to ab[2 bw + i - j, j] of LAPACK's column-major
-        # band storage ab, the transpose of the buffer
-        return np.zeros((self.n, ldab)), bw, cols * ldab + 2 * bw + rows - cols
 
     def assemble(self, r, delta: float):
         """Residual vector and Jacobian in solve order from ``_residual`` r."""
@@ -523,36 +494,20 @@ class _NewtonSystem:
         """LU factor of jac, or None if jac is singular.
 
         Returns a function giving jac^-1 x in solve order, or None where
-        that is not finite.  The band factor lives in ``band``, so a band
-        solve function is valid until the next call.
+        that is not finite.
         """
-        if self.band is None:
-            import scipy.sparse.linalg
-            # jac.T is the CSC matrix on jac's arrays: SuperLU factors it
-            # and solves the transposed system, as spsolve does for CSR
-            try:
-                lu = scipy.sparse.linalg.splu(jac.T, permc_spec=self.permc_spec)
-            except RuntimeError:
-                return None
+        import scipy.sparse.linalg
+        # jac.T is the CSC matrix on jac's arrays: SuperLU factors it and
+        # solves the transposed system, as spsolve does for CSR
+        try:
+            lu = scipy.sparse.linalg.splu(jac.T, permc_spec=self.permc_spec)
+        except RuntimeError:
+            return None
 
-            def solve(x):
-                return lu.solve(x, trans="T")
-        else:
-            from scipy.linalg.lapack import dgbtrf, dgbtrs
-            band, bw, pos = self.band
-            band.fill(0.0)
-            np.put(band, pos, jac.data)
-            ab, piv, info = dgbtrf(band.T, bw, bw, overwrite_ab=True)
-            if info != 0:
-                return None
-
-            def solve(x):
-                return dgbtrs(ab, bw, bw, x, piv)[0]
-
-        def finite_solve(x):
-            y = solve(x)
+        def solve(x):
+            y = lu.solve(x, trans="T")
             return y if np.all(np.isfinite(y)) else None
-        return finite_solve
+        return solve
 
 
 class _RadialSystem:

@@ -49,6 +49,19 @@ class TestCarlson:
             scalar = carlson_rf_rj(np.float64(x), np.float64(y), np.float64(z))
             row = carlson_rf_rj(np.array([x]), np.array([y]), np.array([z]))
             assert scalar == (row[0][0], row[1][0])
+        # and every row of 8,191 lanes, where numpy's vector kernels run;
+        # the series' P has the sign of x + y + z - 3, so both signs occur
+        rng = np.random.default_rng(3204)
+        n = 8191
+        x = rng.uniform(1.0, 5.0, n)
+        y, z = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        y[::7] = 0.0
+        total = x + y + z
+        assert np.any(total < 3.0) and np.any(total > 3.0)
+        rf, rj = carlson_rf_rj(x, y, z)
+        for i in range(n):
+            scalar = carlson_rf_rj(x[i], y[i], z[i])
+            assert scalar == (rf[i], rj[i]), i
 
     def test_nan_outside_its_domain(self):
         # (1 - x)(1 - y)(1 - z) > 0 would need R_C on the atan branch

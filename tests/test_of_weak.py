@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from annulus_nematics.numerics import min_eigenvalue
+from annulus_nematics import of_weak
+from annulus_nematics.numerics import Bracket, find_root, min_eigenvalue
 from annulus_nematics.of_strong import delta_n
 from annulus_nematics.of_weak import (
     AnchoringParams,
@@ -62,6 +63,170 @@ def oracle_delta_crit(alpha, b, k, n=401):
             return 0.5 * (lo + hi)
         prev = (d, lam)
     return None
+
+
+def reference_residual(delta, alpha, b, k):
+    """Reference: the compatibility residual term by term, one float at a
+    time, with PoleProximity within 1e-9 of a tangent pole (by
+    math.remainder) and at a rational-term pole."""
+    length = math.log(1.0 / b)
+    try:
+        alpha_sq = alpha ** 2
+    except OverflowError:
+        alpha_sq = math.inf
+    if k == 0:
+        tau = math.sqrt(delta / (1.0 - delta)) * length
+        if abs(math.remainder(tau - 0.5 * math.pi, math.pi)) < 1e-9:
+            raise PoleProximity("tangent pole")
+        den = alpha * delta - alpha * b * delta + alpha_sq * b - delta
+        if den == 0.0:
+            raise PoleProximity("rational term pole")
+        if den == math.inf:
+            return math.tan(tau)
+        return math.tan(tau) + alpha * (1.0 + b) * math.sqrt(delta * (1.0 - delta)) / den
+    nu = math.sqrt((k * k - delta) / (1.0 - delta))
+    den = delta * alpha + alpha_sq * b - alpha * b * delta - delta \
+        + k * k * (1.0 - delta)
+    if den == 0.0:
+        raise PoleProximity("rational term pole")
+    if den == math.inf:
+        return math.tanh(nu * length)
+    return math.tanh(nu * length) + (1.0 - delta) * alpha * (1.0 + b) / den * nu
+
+
+def reference_delta_weak(alpha, b, k):
+    """Reference: delta_weak by the scalar walk over every cell, the k = 0
+    cells from all tangent poles below 1 - 1e-12 (at most 201) at once."""
+    if k == 1:
+        return delta_weak(alpha, b, 1)    # closed form, no scan
+    if k == 0:
+        length = math.log(1.0 / b)
+        edges = [0.0, 1.0]
+        for m in range(201):
+            x = ((0.5 + m) * math.pi / length) ** 2
+            if x / (1.0 + x) >= 1.0 - 1e-12:
+                break
+            edges.append(x / (1.0 + x))
+        coef = 1.0 + alpha * b - alpha
+        if coef != 0.0:
+            try:
+                d_rat = alpha ** 2 * b / coef
+            except OverflowError:
+                d_rat = math.inf
+            if 0.0 < d_rat < 1.0:
+                edges.append(d_rat)
+        edges = sorted(set(edges))
+    else:
+        coef = alpha - alpha * b - 1.0 - k * k
+        try:
+            alpha_sq = alpha ** 2
+        except OverflowError:
+            alpha_sq = math.inf
+        d_zero = -(alpha_sq * b + k * k) / coef if coef != 0.0 else math.inf
+        if not 0.0 < d_zero < 1.0:
+            return None
+        edges = [d_zero, 1.0]
+
+    def f(d):
+        return reference_residual(d, alpha, b, k)
+
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        pad = 1e-10 * max(1.0, hi - lo) + 1e-13
+        a, c = lo + pad, hi - pad
+        if c <= a:
+            continue
+        prev_x, prev_f = None, None
+        for x in np.linspace(a, c, 160):
+            try:
+                fx = f(float(x))
+            except PoleProximity:
+                prev_x, prev_f = None, None
+                continue
+            if not math.isfinite(fx):
+                prev_x, prev_f = None, None
+                continue
+            if prev_f is not None and fx == 0.0:
+                return float(x)
+            if prev_f is not None \
+                    and math.copysign(1.0, fx) != math.copysign(1.0, prev_f):
+                return find_root(f, Bracket(prev_x, x), tol=1e-14)
+            prev_x, prev_f = float(x), fx
+    return None
+
+
+def scan_cases():
+    """Seeded (alpha, b, k) grid with alpha near 1, huge and tiny, and b
+    near 0 and 1."""
+    rng = np.random.default_rng(3201)
+    alphas = np.concatenate([
+        rng.uniform(0.01, 4.0, 24), 10.0 ** rng.uniform(-3.0, 3.0, 12),
+        1.0 + rng.normal(0.0, 1e-6, 4),
+        [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.999, 1.001, 1e6, 1e154, 2e154,
+         1e300, 1e-300]])
+    bs = np.concatenate([rng.uniform(0.02, 0.98, 10),
+                         [1e-300, 1e-12, 1e-3, 0.999, 1.0 - 1e-9, 1.0 - 1e-15]])
+    return [(float(a), float(b), k) for b in bs for a in alphas
+            for k in (0, 2, 3)]
+
+
+class TestScanMatchesReference:
+    def test_every_root_and_none(self):
+        cases = scan_cases()
+        got = [delta_weak(a, b, k) for a, b, k in cases]
+        want = [reference_delta_weak(a, b, k) for a, b, k in cases]
+        # the grid reaches roots and Nones of every order scanned
+        assert {k for (_, _, k), d in zip(cases, want) if d is not None} == {0, 2, 3}
+        assert any(d is None for d in want)
+        mismatch = [(c, g, w) for c, g, w in zip(cases, got, want) if g != w]
+        assert mismatch == []
+
+    def test_public_residual_matches_reference(self):
+        rng = np.random.default_rng(3202)
+        for a, b, k in scan_cases()[::5]:
+            for d in rng.uniform(0.0, 1.0, 8):
+                try:
+                    want = reference_residual(float(d), a, b, k)
+                except PoleProximity:
+                    with pytest.raises(PoleProximity):
+                        compat_residual(float(d), a, b, k)
+                    continue
+                got = compat_residual(float(d), a, b, k)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_pole_distance_is_exact_remainder(self):
+        rng = np.random.default_rng(3203)
+        poles = (0.5 + np.arange(400)) * math.pi
+        taus = np.concatenate([rng.uniform(0.0, 2000.0, 20000), poles,
+                               np.nextafter(poles, 0.0), np.nextafter(poles, 1e9),
+                               poles + rng.normal(0.0, 1e-9, 400),
+                               np.arange(400) * math.pi])
+        want = [abs(math.remainder(t - 0.5 * math.pi, math.pi)) for t in taus]
+        assert np.array_equal(of_weak._tan_pole_distance(np, taus), want)
+        assert [of_weak._tan_pole_distance(math, t) for t in taus[:2000]] \
+            == want[:2000]
+
+    def test_inputs_checked_once(self, monkeypatch):
+        counts = {"ratio": 0, "index": 0}
+        check_ratio, check_index = of_weak.check_ratio, of_weak.check_index
+
+        def count_ratio(b):
+            counts["ratio"] += 1
+            return check_ratio(b)
+
+        def count_index(*args):
+            counts["index"] += 1
+            return check_index(*args)
+
+        def unexpected(*args):
+            raise AssertionError("the scan calls the unchecked kernel")
+
+        monkeypatch.setattr(of_weak, "check_ratio", count_ratio)
+        monkeypatch.setattr(of_weak, "check_index", count_index)
+        monkeypatch.setattr(of_weak, "compat_residual", unexpected)
+        for k in (0, 2):
+            counts.update(ratio=0, index=0)
+            assert delta_weak(0.5, 0.5, k) is not None
+            assert counts == {"ratio": 1, "index": 1}
 
 
 class TestCompatResidual:
@@ -149,6 +314,13 @@ class TestDeltaWeak:
         # inf used to report "no critical anisotropy" (None)
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             delta_weak(math.inf, 0.5, 0)
+
+    def test_rejects_b_whose_reciprocal_overflows(self):
+        # log(1/b) is inf below b = 5.6e-309, so the tangent cells vanish
+        with pytest.raises(ValueError, match="overflows"):
+            delta_weak(1.0, 1e-310, 0)
+        with pytest.raises(ValueError):
+            compat_residual(0.5, 1.0, 1e-310, 0)
 
     def test_k1_absent_above_one(self):
         assert delta_weak(1.5, 0.5, 1) is None

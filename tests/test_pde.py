@@ -1122,26 +1122,9 @@ class TestNewtonSystem:
     def test_top_level_halves_decoupled(self, name, grid, bc, states, delta):
         active = active_nodes(grid, bc)
         system = _NewtonSystem(grid, bc)
-        if bc.kind == "robin":
-            # the Robin annulus keeps row-major numbering
-            assert np.array_equal(system.order, np.flatnonzero(active))
-            return
         if grid.periodic:
-            # Dirichlet annulus: ring by ring, each ring folded, so the
-            # half-bandwidth is nphi + 2 at even and odd nphi alike
-            for nphi in (grid.nphi, grid.nphi + 1):
-                ring = PolarGrid.annulus(grid.b, grid.nr, nphi)
-                system = _NewtonSystem(ring, bc)
-                fold = [k // 2 if k % 2 == 0 else nphi - 1 - k // 2
-                        for k in range(nphi)]
-                ii = np.arange(1, grid.nr - 1)
-                assert np.array_equal(system.order,
-                                      (ii[:, None] * nphi + fold).ravel())
-                _, pp = ring.mesh()
-                _, jac = assemble(system, pp + 0.5 * math.pi
-                                  + 0.2 * np.cos(pp) ** 3, delta)
-                coo = jac.tocoo()
-                assert np.max(np.abs(coo.row - coo.col)) == nphi + 2
+            # the annulus, Dirichlet or Robin, keeps row-major numbering
+            assert np.array_equal(system.order, np.flatnonzero(active))
             return
         # the first bisection cuts the longer side of the index box at
         # its middle line; both halves come before that separator
@@ -1198,13 +1181,15 @@ def annulus_system(nphi, bc):
 class TestLinearSolvePaths:
     ROBIN = BoundaryConditions(kind="robin", anchoring=AnchoringParams(0.7))
 
-    @pytest.mark.parametrize("nphi, bc, banded", [
-        (pde.BAND_MAX_NPHI, BoundaryConditions(), True),
-        (pde.BAND_MAX_NPHI + 1, BoundaryConditions(), False),
-        (20, ROBIN, False),
-    ], ids=["dirichlet_widest_band", "dirichlet_wider", "robin"])
-    def test_band_only_on_narrow_dirichlet_annulus(self, monkeypatch, nphi, bc,
-                                                   banded):
+    @pytest.mark.parametrize("grid, bc, permc_spec", [
+        (PolarGrid.annulus(0.3, 16, 64), BoundaryConditions(), "MMD_AT_PLUS_A"),
+        (PolarGrid.annulus(0.3, 16, 20), ROBIN, "MMD_AT_PLUS_A"),
+        (PolarGrid.sector(0.3, 2, 17, 21), BoundaryConditions(), "NATURAL"),
+    ], ids=["dirichlet_annulus", "robin_annulus", "sector"])
+    def test_superlu_ordering_per_grid_kind(self, monkeypatch, grid, bc,
+                                            permc_spec):
+        # row-major annulus unknowns under minimum degree on A^T + A;
+        # sector unknowns in nested-dissection order, not permuted again
         calls = []
         splu = scipy.sparse.linalg.splu
 
@@ -1213,12 +1198,13 @@ class TestLinearSolvePaths:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-        system, _, (rhs, jac) = annulus_system(nphi, bc)
+        xx, pp = grid.mesh()
+        theta = pp + 0.5 * math.pi + 0.2 * np.sin(math.pi * xx / math.log(0.3)) \
+            * np.cos(pp)
+        system = _NewtonSystem(grid, bc)
+        rhs, jac = assemble(system, theta, 0.7)
         step = system.factor(jac)(-rhs)
-        assert (system.band is not None) == banded
-        assert calls == ([] if banded else ["MMD_AT_PLUS_A"])
-        if not banded:
-            assert np.array_equal(system.order, np.sort(system.order))
+        assert calls == [permc_spec]
         ref = scipy.sparse.linalg.spsolve(jac, -rhs)
         assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
